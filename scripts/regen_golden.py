@@ -28,6 +28,22 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.ablation.presets import ablation_quick_rows  # noqa: E402
 from repro.annealing import kernels  # noqa: E402
+from repro.experiments import (  # noqa: E402
+    Figure3Config,
+    Figure7Config,
+    HeadlineConfig,
+    InitializerAblationConfig,
+    PauseAblationConfig,
+    PipelineStudyConfig,
+    SoftConstraintConfig,
+    run_figure3,
+    run_figure7,
+    run_headline,
+    run_initializer_ablation,
+    run_pause_ablation,
+    run_pipeline_study,
+    run_soft_constraint_study,
+)
 from repro.experiments.fig6_distributions import Figure6Config, run_figure6  # noqa: E402
 from repro.experiments.fig8_tts import Figure8Config, run_figure8  # noqa: E402
 from repro.experiments.network_study import (  # noqa: E402
@@ -38,12 +54,31 @@ from repro.experiments.snr_study import SNRStudyConfig, run_snr_study  # noqa: E
 
 GOLDEN_DIR = REPO_ROOT / "tests" / "golden"
 
+def _single_shard_rows() -> list:
+    """Rows of the seven single-shard studies at their ``--quick`` scale.
+
+    fig3 has no quick variant, so it runs its default configuration, exactly
+    as ``repro-experiments fig3 --quick`` does.  Single-result studies
+    (headline, pipeline) contribute their one result record.
+    """
+    return [
+        *run_figure3(Figure3Config()),
+        *run_figure7(Figure7Config.quick()),
+        run_headline(HeadlineConfig.quick()),
+        run_pipeline_study(PipelineStudyConfig.quick()),
+        *run_initializer_ablation(InitializerAblationConfig.quick()),
+        *run_soft_constraint_study(SoftConstraintConfig.quick()),
+        *run_pause_ablation(PauseAblationConfig.quick()),
+    ]
+
+
 #: Fixture name -> zero-argument callable returning a list of result rows.
 STUDIES = {
     "ablation_quick": ablation_quick_rows,
     "fig6_quick": lambda: run_figure6(Figure6Config.quick()),
     "fig8_quick": lambda: run_figure8(Figure8Config.quick()),
     "network_quick": lambda: run_network_study(NetworkStudyConfig.quick()).rows,
+    "single_shard_quick": _single_shard_rows,
     "snr_quick": lambda: run_snr_study(SNRStudyConfig.quick()),
 }
 

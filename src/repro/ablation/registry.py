@@ -7,11 +7,9 @@ shards carry the same cache fingerprints as a direct run), a collector that
 turns shard results back into the driver's row type, and a metrics reducer
 producing the scalar columns of the tidy results table.
 
-Targets register by name; the built-in bindings (``fig8``, ``robustness``,
-``serve``, ``scenarios``, ``network``, ``anneal-hpo``) load lazily on first
-lookup so importing
-:mod:`repro.ablation` never triggers the experiment modules (which
-themselves call back into the harness).
+Targets register by name; the built-in bindings (the study registry's
+metric-declaring drivers plus ``anneal-hpo``) load lazily on first lookup so
+importing :mod:`repro.ablation` never triggers the experiment modules.
 """
 
 from __future__ import annotations

@@ -1,15 +1,17 @@
 """Built-in ablation targets: fig8, robustness, the serving/scenario/network/
 QoS drivers, and a synthetic SA HPO sweep.
 
-The experiment targets bind the drivers' :class:`~repro.experiments.driver.
-ExperimentDriver` objects via :meth:`~repro.ablation.registry.
-ExperimentTarget.from_driver`: a study point's shards are *the same work
-units* — same functions, same kwargs, same cache fingerprints — that a
-direct ``repro-experiments fig8`` / ``robustness`` / ``serve`` /
-``scenarios`` / ``network`` / ``qos`` run produces, and the rows and metrics
-come from the driver's own pure ``aggregate``/``metrics`` pair.  This is
-what makes the harness subsume the imperative drivers bitwise, and it means
-the declarative and imperative paths share one warm cache.  The
+The experiment targets come from the study registry
+(:data:`repro.experiments.STUDIES`): every study whose driver declares
+``metric_names`` is bound via :meth:`~repro.ablation.registry.
+ExperimentTarget.from_driver`, with the study's config presets.  A study
+point's shards are *the same work units* — same functions, same kwargs,
+same cache fingerprints — that a direct ``repro-experiments fig8`` /
+``robustness`` / ``serve`` / ``scenarios`` / ``network`` / ``qos`` run
+produces, and the rows and metrics come from the driver's own pure
+``aggregate``/``metrics`` pair.  This is what makes the harness subsume the
+imperative drivers bitwise, and it means the declarative and imperative
+paths share one warm cache.  The
 serving-side targets turn pool sizes, autoscale thresholds, QoS class mixes
 and the network study's detector/embedder knobs into sweepable axes.
 
@@ -24,9 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, List, Sequence, Tuple
 
-import numpy as np
-
 from repro.ablation.registry import ExperimentTarget, register_target
+from repro.experiments.driver import mean_or_nan
 from repro.parallel import ShardTask
 
 __all__ = [
@@ -35,71 +36,6 @@ __all__ = [
     "anneal_hpo_tasks",
     "register_builtin_targets",
 ]
-
-
-def _mean_or_nan(values: Sequence[float]) -> float:
-    return float(np.mean(values)) if len(values) else float("nan")
-
-
-def _fig8_presets():
-    from repro.experiments.fig8_tts import Figure8Config
-
-    return {
-        "default": Figure8Config,
-        "quick": Figure8Config.quick,
-        "paper": Figure8Config.paper_scale,
-    }
-
-
-def _robustness_presets():
-    from repro.experiments.robustness_study import RobustnessStudyConfig
-
-    return {
-        "default": RobustnessStudyConfig,
-        "quick": RobustnessStudyConfig.quick,
-        "paper": RobustnessStudyConfig.paper_scale,
-    }
-
-
-def _serve_presets():
-    from repro.experiments.load_study import LoadStudyConfig
-
-    return {
-        "default": LoadStudyConfig,
-        "quick": LoadStudyConfig.quick,
-        "paper": LoadStudyConfig.paper_scale,
-    }
-
-
-def _scenarios_presets():
-    from repro.experiments.scenario_study import ScenarioStudyConfig
-
-    return {
-        "default": ScenarioStudyConfig,
-        "quick": ScenarioStudyConfig.quick,
-        "paper": ScenarioStudyConfig.paper_scale,
-    }
-
-
-def _network_presets():
-    from repro.experiments.network_study import NetworkStudyConfig
-
-    return {
-        "default": NetworkStudyConfig,
-        "quick": NetworkStudyConfig.quick,
-        "paper": NetworkStudyConfig.city_scale,
-        "city": NetworkStudyConfig.city_scale,
-    }
-
-
-def _qos_presets():
-    from repro.experiments.qos_study import QoSStudyConfig
-
-    return {
-        "default": QoSStudyConfig,
-        "quick": QoSStudyConfig.quick,
-        "paper": QoSStudyConfig.paper_scale,
-    }
 
 
 def _identity_collect(config: Any, shards: Sequence[Any]) -> List[Any]:
@@ -196,69 +132,28 @@ def _anneal_hpo_metrics(rows: Sequence[AnnealHPORow]) -> Tuple[Tuple[str, float]
     energies = [row.energy for row in rows]
     return (
         ("best_energy", min(energies) if energies else float("nan")),
-        ("mean_energy", _mean_or_nan(energies)),
-        ("compute_time_us_mean", _mean_or_nan([row.compute_time_us for row in rows])),
+        ("mean_energy", mean_or_nan(energies)),
+        ("compute_time_us_mean", mean_or_nan([row.compute_time_us for row in rows])),
         ("sweeps_total", float(sum(row.sweeps for row in rows))),
     )
 
 
 def register_builtin_targets() -> None:
-    """Register the built-in targets (idempotent via replace=True)."""
-    from repro.experiments.fig8_tts import Figure8Driver
-    from repro.experiments.load_study import LoadStudyDriver
-    from repro.experiments.network_study import NetworkStudyDriver
-    from repro.experiments.qos_study import QoSStudyDriver
-    from repro.experiments.robustness_study import RobustnessStudyDriver
-    from repro.experiments.scenario_study import ScenarioStudyDriver
+    """Register the built-in targets (idempotent via replace=True).
 
-    register_target(
-        ExperimentTarget.from_driver(
-            Figure8Driver(),
-            presets=_fig8_presets(),
-            description="Figure 8 — success probability and TTS(99%) vs s_p",
-        ),
-        replace=True,
-    )
-    register_target(
-        ExperimentTarget.from_driver(
-            RobustnessStudyDriver(),
-            presets=_robustness_presets(),
-            description="E-X3 — detection robustness under channel impairments",
-        ),
-        replace=True,
-    )
-    register_target(
-        ExperimentTarget.from_driver(
-            LoadStudyDriver(),
-            presets=_serve_presets(),
-            description="E-SV — deadline-miss rate vs offered load (serving pool)",
-        ),
-        replace=True,
-    )
-    register_target(
-        ExperimentTarget.from_driver(
-            ScenarioStudyDriver(),
-            presets=_scenarios_presets(),
-            description="E-SC — static vs autoscaled pools across the scenario catalog",
-        ),
-        replace=True,
-    )
-    register_target(
-        ExperimentTarget.from_driver(
-            NetworkStudyDriver(),
-            presets=_network_presets(),
-            description="city-scale capacity placement: static vs reactive vs oracle",
-        ),
-        replace=True,
-    )
-    register_target(
-        ExperimentTarget.from_driver(
-            QoSStudyDriver(),
-            presets=_qos_presets(),
-            description="E-QS — classless vs class-aware serving across the catalog",
-        ),
-        replace=True,
-    )
+    Every registry study whose driver declares metrics becomes a target,
+    with the study's ``default``/``quick``/``paper`` configs as presets.
+    """
+    from repro.experiments import STUDIES
+
+    for study in STUDIES:
+        if study.driver.metric_names:
+            register_target(
+                ExperimentTarget.from_driver(
+                    study.driver, presets=study.presets, description=study.summary
+                ),
+                replace=True,
+            )
     register_target(
         ExperimentTarget(
             name="anneal-hpo",

@@ -1,9 +1,9 @@
 """Quantum annealing simulator substrate.
 
 The paper prototypes on a D-Wave 2000Q analog quantum annealer.  Real quantum
-hardware is not available to this library, so — per the substitution note in
-DESIGN.md — this package provides a *software* annealer with the same
-programming surface:
+hardware is not available to this library, so this package provides a
+*software* annealer with the same programming surface (its place in the
+stack is drawn in ``docs/architecture.md``):
 
 * :mod:`repro.annealing.schedule` — the FA / RA / FR anneal schedules of paper
   Section 4.1, expressed as piecewise-linear ``[time (us), s]`` waypoints.

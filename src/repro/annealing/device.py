@@ -97,7 +97,7 @@ class DeviceModel:
         Operating temperature expressed as an energy (k_B T / h).  Physical
         devices run at 12-15 mK (~0.25-0.3 GHz); the default of 0.12 GHz is
         the calibration at which the simulator's FA/RA/FR orderings best match
-        the paper's published behaviour (see DESIGN.md).
+        the paper's published behaviour (see ``docs/architecture.md``).
     field_noise_sigma / coupling_noise_sigma:
         Standard deviation of the ICE-like Gaussian perturbation applied to
         programmed h / J values (in units of the maximum programmable value,

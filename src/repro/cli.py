@@ -2,22 +2,8 @@
 
 Installed as ``repro-experiments``::
 
-    repro-experiments fig3            # Figure 3  (QUBO simplification)
-    repro-experiments fig6            # Figure 6  (delta-E% distributions)
-    repro-experiments fig7            # Figure 7  (initial-state quality)
-    repro-experiments fig8            # Figure 8  (p* and TTS vs s_p)
-    repro-experiments headline        # Abstract's 2-10x comparison
-    repro-experiments pipeline        # Figure 2  (pipelined processing)
-    repro-experiments ablation        # initialiser ablation
-    repro-experiments constraints     # Figure 4  (soft constraints)
-    repro-experiments snr             # extension: BER vs SNR under AWGN
-    repro-experiments pause           # extension: the power of pausing
-    repro-experiments robustness      # extension: impairment robustness sweep
-    repro-experiments serve           # serving layer: multi-user load sweep
-    repro-experiments scenarios       # time-varying scenarios: static vs autoscaled
-    repro-experiments network         # city-scale capacity placement on a topology
-    repro-experiments qos             # QoS classes: classless vs class-aware serving
-    repro-experiments all             # everything, in order
+    repro-experiments fig6            # one study of the registry (see --help)
+    repro-experiments all             # every study, in name order
     repro-experiments ablate --spec study.toml   # declarative ablation/HPO study
 
 Every experiment is an argparse subcommand built from two shared parent
@@ -31,13 +17,14 @@ instance group as one batch); results are identical for every batch size
 thanks to per-instance child generators.
 
 The *execution* options shape how work runs without changing results.
+Every experiment runs through ``repro.experiments.driver.run_driver``.
 ``--workers N`` shards the sweep-style experiments (fig6, fig8, snr,
 robustness, serve, scenarios, network, qos) across ``N`` processes — results
-are bitwise-identical to the serial run at any worker count.  Shard results
-are cached on disk under ``--cache-dir`` (default ``.repro-cache``) so a
-re-run with one changed point recomputes only that point; ``--no-cache``
-disables the cache.  Experiments without a sharded driver ignore all three
-flags.
+are bitwise-identical to the serial run at any worker count; the other
+experiments are one shard each and run in this process.  Shard results are
+cached on disk under ``--cache-dir`` (default ``.repro-cache``) so a re-run
+with one changed point recomputes only that point; ``--no-cache`` disables
+the cache.
 
 ``--telemetry[=DIR]`` records an execution trace (sim-time job spans, kernel
 timings, cache counters) and exports ``trace.jsonl``, ``metrics.prom`` and
@@ -45,9 +32,10 @@ timings, cache counters) and exports ``trace.jsonl``, ``metrics.prom`` and
 without it (see ``docs/telemetry.md``).  ``--verbose/-v`` and ``--quiet/-q``
 control structured progress logging.
 
-Parsed options land in one :class:`CommonRunOptions` value consumed by every
-experiment runner, so adding a subcommand means writing one runner function
-and one table entry — never re-wiring flags.
+Parsed options land in one :class:`CommonRunOptions` value consumed by one
+generic runner.  The subcommands, their help and ``all`` come from the study
+registry (:data:`repro.experiments.STUDIES`), so adding a subcommand means
+adding one registry entry — never re-wiring flags.
 
 ``ablate`` runs a declarative ablation/HPO study: ``--spec FILE`` names a
 TOML or JSON study spec (see ``docs/ablation.md``), the execution options
@@ -64,60 +52,13 @@ import json
 import pathlib
 import re
 import sys
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import List, Optional
 
 from repro import telemetry
+from repro.experiments import STUDIES, Study
 from repro.parallel import ResultCache
 from repro.telemetry import exporters
 from repro.telemetry.log import configure_logging, get_logger
-
-from repro.experiments import (
-    Figure3Config,
-    Figure6Config,
-    Figure7Config,
-    Figure8Config,
-    HeadlineConfig,
-    InitializerAblationConfig,
-    LoadStudyConfig,
-    NetworkStudyConfig,
-    PauseAblationConfig,
-    QoSStudyConfig,
-    ScenarioStudyConfig,
-    PipelineStudyConfig,
-    RobustnessStudyConfig,
-    SNRStudyConfig,
-    SoftConstraintConfig,
-    format_figure3_table,
-    format_figure6_table,
-    format_figure7_table,
-    format_figure8_table,
-    format_headline_report,
-    format_initializer_table,
-    format_load_study_table,
-    format_network_table,
-    format_pause_table,
-    format_pipeline_table,
-    format_qos_table,
-    format_robustness_table,
-    format_scenario_table,
-    format_snr_table,
-    format_soft_constraint_table,
-    run_figure3,
-    run_figure6,
-    run_figure7,
-    run_figure8,
-    run_headline,
-    run_initializer_ablation,
-    run_load_study,
-    run_network_study,
-    run_pause_ablation,
-    run_pipeline_study,
-    run_qos_study,
-    run_robustness_study,
-    run_scenario_study,
-    run_snr_study,
-    run_soft_constraint_study,
-)
 
 __all__ = ["CommonRunOptions", "main"]
 
@@ -125,6 +66,9 @@ _log = get_logger(__name__)
 
 #: Default output directory of ``--telemetry`` when no path is given.
 DEFAULT_TELEMETRY_DIR = "telemetry-out"
+
+#: The subcommands in ``--help`` order, which is also the order of ``all``.
+_IN_NAME_ORDER = sorted(STUDIES, key=lambda study: study.name)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -154,156 +98,10 @@ class CommonRunOptions:
         )
 
 
-def _select(config_class, scale: str, batch_size: Optional[int] = None):
-    """Pick the configuration variant for the requested scale.
-
-    ``batch_size`` is applied to configurations that expose a ``batch_size``
-    field (fig6, snr, pipeline); others submit their natural batch and ignore
-    the flag.
-    """
-    if scale == "paper" and hasattr(config_class, "paper_scale"):
-        config = config_class.paper_scale()
-    elif scale == "quick" and hasattr(config_class, "quick"):
-        config = config_class.quick()
-    else:
-        config = config_class()
-    if batch_size is not None and any(
-        field.name == "batch_size" for field in dataclasses.fields(config)
-    ):
-        config = dataclasses.replace(config, batch_size=batch_size)
-    return config
-
-
-def _select_serving(config_class, options: CommonRunOptions):
-    """Serving configs map ``--batch-size`` onto ``max_batch_size``."""
-    config = _select(config_class, options.scale)
-    if options.batch_size is not None:
-        config = dataclasses.replace(config, max_batch_size=options.batch_size)
-    return config
-
-
-def _run_fig3(options: CommonRunOptions) -> str:
-    return format_figure3_table(
-        run_figure3(_select(Figure3Config, options.scale, options.batch_size))
-    )
-
-
-def _run_fig6(options: CommonRunOptions) -> str:
-    return format_figure6_table(
-        run_figure6(
-            _select(Figure6Config, options.scale, options.batch_size),
-            workers=options.workers,
-            cache=options.cache,
-        )
-    )
-
-
-def _run_fig7(options: CommonRunOptions) -> str:
-    return format_figure7_table(
-        run_figure7(_select(Figure7Config, options.scale, options.batch_size))
-    )
-
-
-def _run_fig8(options: CommonRunOptions) -> str:
-    return format_figure8_table(
-        run_figure8(
-            _select(Figure8Config, options.scale, options.batch_size),
-            workers=options.workers,
-            cache=options.cache,
-        )
-    )
-
-
-def _run_headline(options: CommonRunOptions) -> str:
-    return format_headline_report(
-        run_headline(_select(HeadlineConfig, options.scale, options.batch_size))
-    )
-
-
-def _run_pipeline(options: CommonRunOptions) -> str:
-    return format_pipeline_table(
-        run_pipeline_study(_select(PipelineStudyConfig, options.scale, options.batch_size))
-    )
-
-
-def _run_ablation(options: CommonRunOptions) -> str:
-    return format_initializer_table(
-        run_initializer_ablation(
-            _select(InitializerAblationConfig, options.scale, options.batch_size)
-        )
-    )
-
-
-def _run_constraints(options: CommonRunOptions) -> str:
-    return format_soft_constraint_table(
-        run_soft_constraint_study(_select(SoftConstraintConfig, options.scale, options.batch_size))
-    )
-
-
-def _run_snr(options: CommonRunOptions) -> str:
-    return format_snr_table(
-        run_snr_study(
-            _select(SNRStudyConfig, options.scale, options.batch_size),
-            workers=options.workers,
-            cache=options.cache,
-        )
-    )
-
-
-def _run_pause(options: CommonRunOptions) -> str:
-    return format_pause_table(
-        run_pause_ablation(_select(PauseAblationConfig, options.scale, options.batch_size))
-    )
-
-
-def _run_robustness(options: CommonRunOptions) -> str:
-    return format_robustness_table(
-        run_robustness_study(
-            _select(RobustnessStudyConfig, options.scale, options.batch_size),
-            workers=options.workers,
-            cache=options.cache,
-        )
-    )
-
-
-def _run_serve(options: CommonRunOptions) -> str:
-    return format_load_study_table(
-        run_load_study(
-            _select_serving(LoadStudyConfig, options),
-            workers=options.workers,
-            cache=options.cache,
-        )
-    )
-
-
-def _run_scenarios(options: CommonRunOptions) -> str:
-    return format_scenario_table(
-        run_scenario_study(
-            _select_serving(ScenarioStudyConfig, options),
-            workers=options.workers,
-            cache=options.cache,
-        )
-    )
-
-
-def _run_network(options: CommonRunOptions) -> str:
-    return format_network_table(
-        run_network_study(
-            _select(NetworkStudyConfig, options.scale),
-            workers=options.workers,
-            cache=options.cache,
-        )
-    )
-
-
-def _run_qos(options: CommonRunOptions) -> str:
-    return format_qos_table(
-        run_qos_study(
-            _select_serving(QoSStudyConfig, options),
-            workers=options.workers,
-            cache=options.cache,
-        )
-    )
+def _run_study(study: Study, options: CommonRunOptions) -> str:
+    """Configure one registry study for the requested scale, run it, render it."""
+    config = study.make_config(options.scale, options.batch_size)
+    return study.format(study.run(config, workers=options.workers, cache=options.cache))
 
 
 def _run_ablate(spec_path: str, output: Optional[str], options: CommonRunOptions) -> str:
@@ -323,28 +121,6 @@ def _run_ablate(spec_path: str, output: Optional[str], options: CommonRunOptions
     )
     _log.info("ablation.artifact_written", path=str(artifact), study=spec.name)
     return format_study_table(result) + f"\nArtifact: {artifact}"
-
-
-_ExperimentRunner = Callable[[CommonRunOptions], str]
-
-#: Subcommand name -> (runner, one-line summary shown in ``--help``).
-_EXPERIMENTS: Dict[str, Tuple[_ExperimentRunner, str]] = {
-    "fig3": (_run_fig3, "Figure 3 — QUBO simplification by variable prefixing"),
-    "fig6": (_run_fig6, "Figure 6 — delta-E% distributions of FA / RA"),
-    "fig7": (_run_fig7, "Figure 7 — RA performance vs initial-state quality"),
-    "fig8": (_run_fig8, "Figure 8 — success probability and TTS vs s_p"),
-    "headline": (_run_headline, "the abstract's 2-10x RA vs FA comparison"),
-    "pipeline": (_run_pipeline, "Figure 2 — pipelined classical/quantum processing"),
-    "ablation": (_run_ablation, "initialiser-quality ablation (GS/ZF/MMSE/sphere)"),
-    "constraints": (_run_constraints, "Figure 4 — soft-information constraints"),
-    "snr": (_run_snr, "extension — BER vs SNR under AWGN"),
-    "pause": (_run_pause, "extension — the power of pausing"),
-    "robustness": (_run_robustness, "extension — impairment robustness sweep"),
-    "serve": (_run_serve, "serving layer — deadline-miss rate vs offered load"),
-    "scenarios": (_run_scenarios, "time-varying scenarios — static vs autoscaled"),
-    "network": (_run_network, "city-scale capacity placement on a topology"),
-    "qos": (_run_qos, "QoS classes — classless vs class-aware serving with handover"),
-}
 
 
 def _scale_options() -> argparse.ArgumentParser:
@@ -448,16 +224,21 @@ def build_parser() -> argparse.ArgumentParser:
         help="which experiment to run ('ablate' runs a declarative study "
         "from --spec and is not part of 'all')",
     )
-    for name, (_, summary) in sorted(_EXPERIMENTS.items()):
+    for study in _IN_NAME_ORDER:
         subparsers.add_parser(
-            name, parents=[scale, execution], help=summary, description=summary
-        )
+            study.name,
+            parents=[scale, execution],
+            # argparse %-formats help strings (not descriptions); summaries
+            # are plain text.
+            help=study.summary.replace("%", "%%"),
+            description=study.summary,
+        ).set_defaults(studies=[study])
     subparsers.add_parser(
         "all",
         parents=[scale, execution],
         help="every experiment above, in order",
         description="run every experiment subcommand in name order",
-    )
+    ).set_defaults(studies=_IN_NAME_ORDER)
     ablate = subparsers.add_parser(
         "ablate",
         parents=[execution],
@@ -517,7 +298,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     configure_logging(-1 if arguments.quiet else arguments.verbose)
 
     session = telemetry.enable() if arguments.telemetry is not None else None
-    names = sorted(_EXPERIMENTS) if arguments.experiment == "all" else [arguments.experiment]
     try:
         # Spec loading happens inside the try so a bad spec still exports
         # whatever telemetry was recorded before the failure.
@@ -525,9 +305,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(_run_ablate(arguments.spec, arguments.output, options))
             print()
         else:
-            for name in names:
-                runner, _ = _EXPERIMENTS[name]
-                print(runner(options))
+            for study in arguments.studies:
+                print(_run_study(study, options))
                 print()
     finally:
         # Export whatever was recorded even when an experiment raises —

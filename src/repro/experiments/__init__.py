@@ -6,38 +6,14 @@ same rows/series the paper reports.  The benchmark harness under
 ``benchmarks/`` is a thin wrapper over these runners; they can also be invoked
 from the command line via ``repro-experiments`` (see :mod:`repro.cli`).
 
-Experiment index (see DESIGN.md for the full mapping):
-
-========  ==========================================================
-E-F3      Figure 3 — QUBO simplification by variable prefixing
-E-F6      Figure 6 — ΔE% distributions of FA / RA(random) / RA(GS)
-E-F7      Figure 7 — RA performance vs initial-state quality ΔE_IS%
-E-F8      Figure 8 — p* and TTS vs s_p for FA / FR / RA
-E-HL      Headline — RA vs FA speedup (2-10x claim)
-E-F2      Figure 2 — pipelined classical/quantum processing
-E-F4      Figure 4 — soft-information constraints (ablation)
-E-AB1     Ablation — initialiser quality (GS / ZF / MMSE / sphere)
-E-X1      Extension — BER vs SNR under AWGN
-E-X2      Extension — the power of pausing (pause-duration ablation)
-E-X3      Extension — detection robustness under channel impairments
-          (correlation, Doppler, imperfect CSI, interference)
-E-SV      Serving — deadline-miss rate vs offered load across the
-          serialized / pipelined / pooled serving architectures
-E-SC      Scenarios — static vs autoscaled pools across the
-          time-varying network scenario catalog
-E-QS      QoS — classless vs class-aware serving of a mixed
-          urllc/embb/best-effort population with handover
-========  ==========================================================
-
-Every sharded runner sits behind one protocol:
-:class:`~repro.experiments.driver.ExperimentDriver` (``tasks`` /
-``aggregate`` / ``metrics``) executed by
-:func:`~repro.experiments.driver.run_driver`.  The ``run_*`` functions are
-thin compatibility wrappers over it, and the ablation harness binds the
-same driver objects via ``ExperimentTarget.from_driver``.
+Every runner is an :class:`~repro.experiments.driver.ExperimentDriver`
+executed by :func:`~repro.experiments.driver.run_driver`; the ``run_*``
+functions are thin wrappers over it.  :data:`~repro.experiments.registry.
+STUDIES` lists every study once (``docs/experiments.md`` maps each to the
+paper result it reproduces); the CLI and the ablation targets come from it.
 """
 
-from repro.experiments.driver import ExperimentDriver, run_driver
+from repro.experiments.driver import ExperimentDriver, SingleShardDriver, run_driver
 from repro.experiments.instances import (
     InstanceBundle,
     synthesize_instance,
@@ -85,7 +61,7 @@ from repro.experiments.pipeline_study import (
     run_pipeline_study,
     format_pipeline_table,
 )
-from repro.experiments.ablation import (
+from repro.experiments.initializers_and_constraints import (
     InitializerAblationConfig,
     InitializerAblationRow,
     run_initializer_ablation,
@@ -156,10 +132,14 @@ from repro.experiments.qos_study import (
     run_qos_study,
     format_qos_table,
 )
+from repro.experiments.registry import STUDIES, Study
 
 __all__ = [
     "ExperimentDriver",
+    "SingleShardDriver",
     "run_driver",
+    "STUDIES",
+    "Study",
     "InstanceBundle",
     "synthesize_instance",
     "synthesize_instances",

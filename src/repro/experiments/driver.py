@@ -1,11 +1,9 @@
 """The unified experiment-driver protocol shared by every study entry point.
 
-Historically each experiment module grew its own ``run_*`` function around
-the same skeleton — build :class:`~repro.parallel.ShardTask` units, hand
-them to one :class:`~repro.parallel.ParallelRunner` call, emit progress
-telemetry, and reassemble the driver's result type — plus a hand-written
-adapter in :mod:`repro.ablation.targets` re-stating the same pieces for the
-declarative harness.  :class:`ExperimentDriver` names that skeleton once:
+Every study runs through one skeleton — build :class:`~repro.parallel.
+ShardTask` units, hand them to one :class:`~repro.parallel.ParallelRunner`
+call, emit progress telemetry, reassemble the result.
+:class:`ExperimentDriver` names it once:
 
 * :meth:`~ExperimentDriver.tasks` — ``config -> ShardTask list``, the same
   shard builder the result cache fingerprints;
@@ -21,8 +19,8 @@ declarative harness.  :class:`ExperimentDriver` names that skeleton once:
 
 :func:`run_driver` is the one shared execution path: the imperative
 ``run_*`` entry points are thin wrappers over it (input validation and
-their ``*.start`` log line stay in the wrapper, so logs and telemetry are
-bitwise-identical to the pre-protocol drivers), and
+their ``*.start`` log line stay in the wrapper), studies computed whole run
+as the one shard of a :class:`SingleShardDriver`, and
 :meth:`repro.ablation.registry.ExperimentTarget.from_driver` binds the same
 object into the declarative harness.
 """
@@ -31,7 +29,7 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -39,6 +37,7 @@ from repro.parallel import ParallelRunner, ResultCache, ShardTask
 
 __all__ = [
     "ExperimentDriver",
+    "SingleShardDriver",
     "run_driver",
     "finite_min_or_nan",
     "mean_or_nan",
@@ -112,6 +111,44 @@ class ExperimentDriver(ABC):
         results in task order; the default emits nothing.
         """
         return None
+
+
+class SingleShardDriver(ExperimentDriver):
+    """A study computed whole by one module-level function, run as one shard.
+
+    The shard calls ``fn(config=config)`` — the study's own function, so its
+    internal RNG stream and therefore its output are exactly those of a
+    direct call — and the aggregate is that one shard's result.  Running
+    through :func:`run_driver` still buys the study result caching and the
+    runner's shard telemetry.
+    """
+
+    def __init__(self, name: str, fn: Callable[..., Any]) -> None:
+        self.name = name
+        self.fn = fn
+
+    def tasks(self, config: Any) -> List[ShardTask]:
+        return [ShardTask(key=(self.name,), fn=self.fn, kwargs={"config": config})]
+
+    def aggregate(self, config: Any, results: Sequence[Any]) -> Any:
+        return results[0]
+
+    def run(
+        self,
+        config: Any,
+        workers: Optional[int] = None,
+        cache: Optional[ResultCache] = None,
+        **injected: Any,
+    ) -> Any:
+        """Run the study through :func:`run_driver` (``cache`` reuses its result).
+
+        Live objects in ``injected`` (a custom ``sampler`` or ``bundle``)
+        cannot be fingerprinted or shipped to a worker, so any non-``None``
+        one pins the run to a direct, serial, uncached call of ``fn``.
+        """
+        if any(value is not None for value in injected.values()):
+            return self.fn(config, **injected)
+        return run_driver(self, config, workers=workers, cache=cache)
 
 
 def run_driver(

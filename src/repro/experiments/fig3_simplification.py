@@ -17,11 +17,13 @@ experiment reproduces.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.experiments.driver import SingleShardDriver
 from repro.experiments.instances import synthesize_instance, variables_for
+from repro.parallel import ResultCache
 from repro.qubo.preprocessing import simplify_qubo
 
 __all__ = ["Figure3Config", "Figure3Row", "run_figure3", "format_figure3_table"]
@@ -73,8 +75,8 @@ class Figure3Row:
     average_fixed_variables: float
 
 
-def run_figure3(config: Figure3Config = Figure3Config()) -> List[Figure3Row]:
-    """Run the preprocessing study and return one row per (modulation, size)."""
+def _figure3_study(config: Figure3Config) -> List[Figure3Row]:
+    """The whole preprocessing study: one row per (modulation, size)."""
     rows: List[Figure3Row] = []
     for modulation, user_counts in config.user_counts.items():
         for num_users in user_counts:
@@ -103,6 +105,18 @@ def run_figure3(config: Figure3Config = Figure3Config()) -> List[Figure3Row]:
                 )
             )
     return rows
+
+
+FIGURE3_DRIVER = SingleShardDriver("fig3", _figure3_study)
+
+
+def run_figure3(
+    config: Figure3Config = Figure3Config(),
+    workers: Optional[int] = None,
+    cache: Optional[ResultCache] = None,
+) -> List[Figure3Row]:
+    """Run the preprocessing study as one cached shard (:meth:`SingleShardDriver.run`)."""
+    return FIGURE3_DRIVER.run(config, workers, cache)
 
 
 def format_figure3_table(rows: Sequence[Figure3Row]) -> str:

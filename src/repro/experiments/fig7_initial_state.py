@@ -20,8 +20,10 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.annealing.sampler import QuantumAnnealerSimulator
+from repro.experiments.driver import SingleShardDriver
 from repro.experiments.instances import InstanceBundle, synthesize_instance
 from repro.metrics.quality import delta_e_percent
+from repro.parallel import ResultCache
 from repro.utils.rng import stable_seed
 
 __all__ = ["Figure7Config", "Figure7Row", "run_figure7", "format_figure7_table"]
@@ -118,12 +120,12 @@ def _generate_candidates(
     return buckets
 
 
-def run_figure7(
-    config: Figure7Config = Figure7Config(),
+def _figure7_study(
+    config: Figure7Config,
     sampler: Optional[QuantumAnnealerSimulator] = None,
     bundle: Optional[InstanceBundle] = None,
 ) -> List[Figure7Row]:
-    """Run the initial-state-quality study and return one row per ΔE_IS% bin."""
+    """The whole initial-state-quality study: one row per ΔE_IS% bin."""
     instance = bundle if bundle is not None else synthesize_instance(
         config.num_users, config.modulation, seed=config.instance_seed
     )
@@ -166,6 +168,20 @@ def run_figure7(
             )
         )
     return rows
+
+
+FIGURE7_DRIVER = SingleShardDriver("fig7", _figure7_study)
+
+
+def run_figure7(
+    config: Figure7Config = Figure7Config(),
+    sampler: Optional[QuantumAnnealerSimulator] = None,
+    bundle: Optional[InstanceBundle] = None,
+    workers: Optional[int] = None,
+    cache: Optional[ResultCache] = None,
+) -> List[Figure7Row]:
+    """Run the initial-state study as one cached shard (:meth:`SingleShardDriver.run`)."""
+    return FIGURE7_DRIVER.run(config, workers, cache, sampler=sampler, bundle=bundle)
 
 
 def format_figure7_table(rows: Sequence[Figure7Row]) -> str:

@@ -21,8 +21,10 @@ import numpy as np
 
 from repro.annealing.sampler import QuantumAnnealerSimulator
 from repro.classical.greedy import GreedySearchSolver
+from repro.experiments.driver import SingleShardDriver
 from repro.experiments.instances import synthesize_instance
 from repro.hybrid.parameters import best_switch_point, sweep_switch_point_batch
+from repro.parallel import ResultCache
 from repro.utils.rng import stable_seed
 
 __all__ = ["HeadlineConfig", "HeadlineResult", "run_headline", "format_headline_report"]
@@ -120,11 +122,11 @@ class HeadlineResult:
         return float(np.median(finite)) if finite else float("inf")
 
 
-def run_headline(
-    config: HeadlineConfig = HeadlineConfig(),
+def _headline_study(
+    config: HeadlineConfig,
     sampler: Optional[QuantumAnnealerSimulator] = None,
 ) -> HeadlineResult:
-    """Run the best-operating-point comparison of RA(GS) vs FA."""
+    """The whole best-operating-point comparison of RA(GS) vs FA."""
     annealer = sampler if sampler is not None else QuantumAnnealerSimulator(
         seed=stable_seed("headline", config.base_seed)
     )
@@ -191,6 +193,19 @@ def run_headline(
         fa_best_switch=tuple(fa_switch),
         ra_best_switch=tuple(ra_switch),
     )
+
+
+HEADLINE_DRIVER = SingleShardDriver("headline", _headline_study)
+
+
+def run_headline(
+    config: HeadlineConfig = HeadlineConfig(),
+    sampler: Optional[QuantumAnnealerSimulator] = None,
+    workers: Optional[int] = None,
+    cache: Optional[ResultCache] = None,
+) -> HeadlineResult:
+    """Run the RA(GS) vs FA comparison as one cached shard (:meth:`SingleShardDriver.run`)."""
+    return HEADLINE_DRIVER.run(config, workers, cache, sampler=sampler)
 
 
 def format_headline_report(result: HeadlineResult) -> str:

@@ -1,4 +1,4 @@
-"""Ablation experiments: initialiser quality (E-AB1) and soft constraints (E-F4).
+"""Initialiser quality (E-AB1) and soft constraints (E-F4).
 
 Two studies that quantify design choices the paper discusses but does not
 fully evaluate:
@@ -28,9 +28,11 @@ from repro.classical.greedy import GreedySearchSolver
 from repro.classical.mmse import MMSEDetector
 from repro.classical.sphere_decoder import FixedComplexitySphereDecoder, KBestSphereDecoder
 from repro.classical.zero_forcing import ZeroForcingDetector
+from repro.experiments.driver import SingleShardDriver
 from repro.experiments.instances import InstanceBundle, synthesize_instance
 from repro.hybrid.solver import DetectorInitializer, HybridQuboSolver
 from repro.metrics.quality import delta_e_percent
+from repro.parallel import ResultCache
 from repro.qubo.constraints import SoftConstraint, add_soft_constraints
 from repro.qubo.energy import brute_force_minimum
 from repro.utils.rng import stable_seed
@@ -100,12 +102,12 @@ def _build_initializer(name: str, bundle: InstanceBundle):
     raise ValueError(f"unknown initializer {name!r}")
 
 
-def run_initializer_ablation(
-    config: InitializerAblationConfig = InitializerAblationConfig(),
+def _initializer_study(
+    config: InitializerAblationConfig,
     sampler: Optional[QuantumAnnealerSimulator] = None,
     bundle: Optional[InstanceBundle] = None,
 ) -> List[InitializerAblationRow]:
-    """Compare reverse annealing seeded by different classical initialisers."""
+    """The whole comparison of RA seeded by different classical initialisers."""
     instance = bundle if bundle is not None else synthesize_instance(
         config.num_users, config.modulation, seed=config.instance_seed
     )
@@ -139,6 +141,20 @@ def run_initializer_ablation(
             )
         )
     return rows
+
+
+INITIALIZER_DRIVER = SingleShardDriver("ablation", _initializer_study)
+
+
+def run_initializer_ablation(
+    config: InitializerAblationConfig = InitializerAblationConfig(),
+    sampler: Optional[QuantumAnnealerSimulator] = None,
+    bundle: Optional[InstanceBundle] = None,
+    workers: Optional[int] = None,
+    cache: Optional[ResultCache] = None,
+) -> List[InitializerAblationRow]:
+    """Run the initialiser study as one cached shard (:meth:`SingleShardDriver.run`)."""
+    return INITIALIZER_DRIVER.run(config, workers, cache, sampler=sampler, bundle=bundle)
 
 
 def format_initializer_table(rows: Sequence[InitializerAblationRow]) -> str:
@@ -217,12 +233,12 @@ def _pair_constraints(
     return correct, wrong
 
 
-def run_soft_constraint_study(
-    config: SoftConstraintConfig = SoftConstraintConfig(),
+def _soft_constraint_study(
+    config: SoftConstraintConfig,
     sampler: Optional[QuantumAnnealerSimulator] = None,
     bundle: Optional[InstanceBundle] = None,
 ) -> List[SoftConstraintRow]:
-    """Sweep constraint strength with correct and partially wrong pre-knowledge."""
+    """The whole constraint-strength sweep, correct and partially wrong knowledge."""
     instance = bundle if bundle is not None else synthesize_instance(
         config.num_users, config.modulation, seed=config.instance_seed
     )
@@ -279,6 +295,20 @@ def run_soft_constraint_study(
                 )
             )
     return rows
+
+
+CONSTRAINTS_DRIVER = SingleShardDriver("constraints", _soft_constraint_study)
+
+
+def run_soft_constraint_study(
+    config: SoftConstraintConfig = SoftConstraintConfig(),
+    sampler: Optional[QuantumAnnealerSimulator] = None,
+    bundle: Optional[InstanceBundle] = None,
+    workers: Optional[int] = None,
+    cache: Optional[ResultCache] = None,
+) -> List[SoftConstraintRow]:
+    """Run the constraint study as one cached shard (:meth:`SingleShardDriver.run`)."""
+    return CONSTRAINTS_DRIVER.run(config, workers, cache, sampler=sampler, bundle=bundle)
 
 
 def format_soft_constraint_table(rows: Sequence[SoftConstraintRow]) -> str:

@@ -15,8 +15,10 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.annealing.sampler import QuantumAnnealerSimulator
 from repro.classical.greedy import GreedySearchSolver
+from repro.experiments.driver import SingleShardDriver
 from repro.experiments.instances import InstanceBundle, synthesize_instance
 from repro.metrics.tts import time_to_solution
+from repro.parallel import ResultCache
 from repro.utils.rng import stable_seed
 
 __all__ = ["PauseAblationConfig", "PauseAblationRow", "run_pause_ablation", "format_pause_table"]
@@ -52,12 +54,12 @@ class PauseAblationRow:
     duration_us: float
 
 
-def run_pause_ablation(
-    config: PauseAblationConfig = PauseAblationConfig(),
+def _pause_study(
+    config: PauseAblationConfig,
     sampler: Optional[QuantumAnnealerSimulator] = None,
     bundle: Optional[InstanceBundle] = None,
 ) -> List[PauseAblationRow]:
-    """Sweep the pause duration for FA and RA(GS) on one instance."""
+    """The whole pause-duration sweep for FA and RA(GS) on one instance."""
     instance = bundle if bundle is not None else synthesize_instance(
         config.num_users, config.modulation, seed=config.instance_seed
     )
@@ -112,6 +114,20 @@ def run_pause_ablation(
             )
         )
     return rows
+
+
+PAUSE_DRIVER = SingleShardDriver("pause", _pause_study)
+
+
+def run_pause_ablation(
+    config: PauseAblationConfig = PauseAblationConfig(),
+    sampler: Optional[QuantumAnnealerSimulator] = None,
+    bundle: Optional[InstanceBundle] = None,
+    workers: Optional[int] = None,
+    cache: Optional[ResultCache] = None,
+) -> List[PauseAblationRow]:
+    """Run the pause sweep as one cached shard (:meth:`SingleShardDriver.run`)."""
+    return PAUSE_DRIVER.run(config, workers, cache, sampler=sampler, bundle=bundle)
 
 
 def format_pause_table(rows: Sequence[PauseAblationRow]) -> str:

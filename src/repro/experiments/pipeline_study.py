@@ -15,7 +15,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.annealing.sampler import QuantumAnnealerSimulator
+from repro.experiments.driver import SingleShardDriver
 from repro.hybrid.pipeline import HybridPipelineSimulator, PipelineReport
+from repro.parallel import ResultCache
 from repro.utils.rng import stable_seed
 from repro.wireless.mimo import MIMOConfig
 from repro.wireless.traffic import TrafficGenerator
@@ -89,11 +91,11 @@ class PipelineStudyResult:
         return self.pipelined.mean_latency_us / self.serial.mean_latency_us
 
 
-def run_pipeline_study(
-    config: PipelineStudyConfig = PipelineStudyConfig(),
+def _pipeline_study(
+    config: PipelineStudyConfig,
     sampler: Optional[QuantumAnnealerSimulator] = None,
 ) -> PipelineStudyResult:
-    """Run the pipelined and serial simulations on an identical traffic trace."""
+    """The pipelined and serial simulations on an identical traffic trace."""
     annealer = sampler if sampler is not None else QuantumAnnealerSimulator(
         seed=stable_seed("pipeline", config.base_seed)
     )
@@ -123,6 +125,19 @@ def run_pipeline_study(
         channel_uses, pipelined=False, rng=stable_seed("serial-run", config.base_seed)
     )
     return PipelineStudyResult(pipelined=pipelined, serial=serial)
+
+
+PIPELINE_DRIVER = SingleShardDriver("pipeline", _pipeline_study)
+
+
+def run_pipeline_study(
+    config: PipelineStudyConfig = PipelineStudyConfig(),
+    sampler: Optional[QuantumAnnealerSimulator] = None,
+    workers: Optional[int] = None,
+    cache: Optional[ResultCache] = None,
+) -> PipelineStudyResult:
+    """Run the pipeline study as one cached shard (:meth:`SingleShardDriver.run`)."""
+    return PIPELINE_DRIVER.run(config, workers, cache, sampler=sampler)
 
 
 def format_pipeline_table(result: PipelineStudyResult) -> str:

@@ -1,5 +1,6 @@
 """Tests for the repro-experiments command line interface."""
 
+import argparse
 import json
 import pathlib
 
@@ -44,6 +45,17 @@ class TestParser:
     def test_rejects_non_positive_workers(self):
         with pytest.raises(SystemExit):
             cli.main(["scenarios", "--quick", "--workers", "0"])
+
+    def test_every_help_text_renders(self):
+        parser = cli.build_parser()
+        (subparsers,) = [
+            action for action in parser._actions if isinstance(action, argparse._SubParsersAction)
+        ]
+        assert "fig6" in parser.format_help()
+        for name, subparser in subparsers.choices.items():
+            assert name in subparser.format_help()
+        # Summaries stay plain text: the fig6 subcommand shows a single '%'.
+        assert "delta-E% " in subparsers.choices["fig6"].format_help()
 
 
 class TestMain:

@@ -24,12 +24,46 @@ import pytest
 
 from repro.ablation.presets import ablation_quick_rows
 from repro.annealing import kernels
+from repro.experiments import (
+    Figure3Config,
+    Figure7Config,
+    HeadlineConfig,
+    InitializerAblationConfig,
+    PauseAblationConfig,
+    PipelineStudyConfig,
+    SoftConstraintConfig,
+    run_figure3,
+    run_figure7,
+    run_headline,
+    run_initializer_ablation,
+    run_pause_ablation,
+    run_pipeline_study,
+    run_soft_constraint_study,
+)
 from repro.experiments.fig6_distributions import Figure6Config, run_figure6
 from repro.experiments.fig8_tts import Figure8Config, run_figure8
 from repro.experiments.network_study import NetworkStudyConfig, run_network_study
 from repro.experiments.snr_study import SNRStudyConfig, run_snr_study
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
+
+
+def _single_shard_rows() -> list:
+    """Rows of the seven single-shard studies at their ``--quick`` scale.
+
+    fig3 has no quick variant, so it runs its default configuration, exactly
+    as ``repro-experiments fig3 --quick`` does.  Single-result studies
+    (headline, pipeline) contribute their one result record.
+    """
+    return [
+        *run_figure3(Figure3Config()),
+        *run_figure7(Figure7Config.quick()),
+        run_headline(HeadlineConfig.quick()),
+        run_pipeline_study(PipelineStudyConfig.quick()),
+        *run_initializer_ablation(InitializerAblationConfig.quick()),
+        *run_soft_constraint_study(SoftConstraintConfig.quick()),
+        *run_pause_ablation(PauseAblationConfig.quick()),
+    ]
 
 
 def rows_as_payload(rows) -> list:
@@ -41,6 +75,7 @@ STUDIES = {
     "fig6_quick": lambda: run_figure6(Figure6Config.quick()),
     "fig8_quick": lambda: run_figure8(Figure8Config.quick()),
     "network_quick": lambda: run_network_study(NetworkStudyConfig.quick()).rows,
+    "single_shard_quick": _single_shard_rows,
     "snr_quick": lambda: run_snr_study(SNRStudyConfig.quick()),
 }
 
@@ -72,7 +107,16 @@ def _row_label(row) -> str:
     """A short identity for one result row, for diff readability."""
     keys = [
         k
-        for k in ("modulation", "method", "switch_s", "snr_db", "placement", "point_id")
+        for k in (
+            "modulation",
+            "method",
+            "initializer",
+            "knowledge",
+            "switch_s",
+            "snr_db",
+            "placement",
+            "point_id",
+        )
         if k in row
     ]
     return "/".join(str(row[k]) for k in keys) or "row"
