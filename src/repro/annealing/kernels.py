@@ -19,15 +19,9 @@ several times over the *same* dynamics specification:
     numba JIT (see :mod:`repro.annealing._kernels_numba`).  Optional: when
     numba is not importable the library falls back to ``vectorized`` with a
     one-time warning, so nothing ever requires it.
-``legacy``
-    The pre-kernel-rewrite sequential dynamics (one python iteration per spin
-    position per sweep), preserved verbatim as the benchmark baseline for the
-    vectorized kernels and as an escape hatch for reproducing historical
-    bitstreams.
 
 Select an implementation with the ``REPRO_KERNEL`` environment variable
-(``vectorized`` | ``reference`` | ``numba`` | ``legacy``); see
-``docs/kernels.md``.
+(``vectorized`` | ``reference`` | ``numba``); see ``docs/kernels.md``.
 
 Chunked replica-parallel dynamics
 ---------------------------------
@@ -42,8 +36,8 @@ compiled SA sweeps use the same fixed-order structure.)
 
 The Metropolis accept tests are evaluated in log space: each spin draws one
 uniform ``u`` per sweep and accepts iff ``dE+ < -T*log(u/activity)`` where
-``dE+ = max(dE, 0)`` — probabilistically identical to the legacy pair of
-``exp`` gates (accept with probability ``activity * min(1, exp(-dE/T))``)
+``dE+ = max(dE, 0)`` — probabilistically identical to the pre-rewrite pair
+of ``exp`` gates (accept with probability ``activity * min(1, exp(-dE/T))``)
 but computable as a single per-sweep ``log`` block instead of a per-chunk
 ``exp``.  The freeze-out ``activity`` gate therefore costs no extra draw.
 
@@ -79,7 +73,6 @@ is what keeps experiment results invariant to batching and worker counts.
 
 from __future__ import annotations
 
-import functools
 import os
 from typing import Optional, Sequence, Tuple, Union
 
@@ -104,19 +97,17 @@ __all__ = [
     "sa_sweeps_vectorized",
     "sa_sweeps_reference",
     "sa_sweeps_numba",
-    "sa_sweeps_legacy",
     "svmc_sweeps",
     "svmc_sweeps_vectorized",
     "svmc_sweeps_reference",
     "svmc_sweeps_numba",
-    "svmc_sweeps_legacy",
 ]
 
 #: Environment variable selecting the sweep-kernel implementation.
 KERNEL_ENV_VAR = "REPRO_KERNEL"
 
 #: Recognised values of :data:`KERNEL_ENV_VAR`.
-KERNEL_CHOICES = ("vectorized", "reference", "numba", "legacy")
+KERNEL_CHOICES = ("vectorized", "reference", "numba")
 
 #: Spins updated simultaneously per chunk of a sweep.  A constant (rather
 #: than e.g. a fraction of the problem size) so chunk boundaries — and with
@@ -233,37 +224,6 @@ def _dispatch_instrumented(family, implementation, kernel, args, kwargs):
     )
 
 
-def _instrument_legacy(family):
-    """Decorator timing the preserved legacy kernels under telemetry.
-
-    The legacy state layout is ``(batch, reads, max_size)``, hence the
-    different ``reads`` axis from :func:`_dispatch_instrumented`.
-    """
-
-    def decorate(fn):
-        @functools.wraps(fn)
-        def wrapper(*args, **kwargs):
-            tel = telemetry.active()
-            if tel is None or not args:
-                return fn(*args, **kwargs)
-            settings = kwargs["settings"] if "settings" in kwargs else args[-1]
-            return _instrumented_call(
-                tel,
-                family,
-                "legacy",
-                fn,
-                args,
-                kwargs,
-                sweeps=len(settings),
-                batch=args[0].shape[0],
-                reads=args[0].shape[1],
-            )
-
-        return wrapper
-
-    return decorate
-
-
 # --------------------------------------------------------------------- #
 # Shared numerics (identical call shapes in every implementation)
 # --------------------------------------------------------------------- #
@@ -372,8 +332,8 @@ def _sa_fill_thresholds(children, sizes, num_reads, out, problem, temperature, l
         child.random(out=block)
         with np.errstate(divide="ignore"):
             # u == 0.0 (possible, if vanishingly rare) maps to a -inf
-            # threshold, i.e. certain acceptance — exactly the legacy
-            # semantics of u < exp(...).
+            # threshold, i.e. certain acceptance — exactly the
+            # semantics of the pre-rewrite u < exp(...) gate.
             np.log(block, out=block)
         if problem > 0.0:
             instance_temperature = (
@@ -405,7 +365,7 @@ def _svmc_fill_blocks(
         child.random(out=block)
         with np.errstate(divide="ignore"):
             # u == 0.0 becomes a +inf threshold after negation: certain
-            # acceptance, matching the legacy u < exp(...) semantics.
+            # acceptance, matching the pre-rewrite u < exp(...) gate.
             np.log(block, out=block)
         np.multiply(block, -temperature, out=block)
         block += offset
@@ -598,65 +558,6 @@ def sa_sweeps(*args, implementation: str = "vectorized", **kwargs) -> np.ndarray
             f"choose one of {', '.join(_SA_IMPLEMENTATIONS)}"
         ) from None
     return _dispatch_instrumented("sa", implementation, kernel, args, kwargs)
-
-
-@_instrument_legacy("sa")
-def sa_sweeps_legacy(
-    spins: np.ndarray,
-    local: np.ndarray,
-    symmetric: np.ndarray,
-    mask: np.ndarray,
-    sizes: np.ndarray,
-    children: Sequence[np.random.Generator],
-    settings: SweepSettings,
-) -> np.ndarray:
-    """The pre-rewrite sequential SA dynamics (one python step per position).
-
-    Operates on the historical ``(batch, reads, max_size)`` layout with
-    per-sweep random visit orders and per-position ``exp`` accept gates.
-    Preserved bit-for-bit as the benchmark baseline and for reproducing
-    pre-rewrite bitstreams via ``REPRO_KERNEL=legacy``.
-    """
-    batch, num_reads, max_size = spins.shape
-    lanes = np.arange(batch)
-    for problem, _transverse, temperature, activity in settings:
-        temperature = float(np.asarray(temperature).reshape(-1)[0]) if not np.isscalar(
-            temperature
-        ) else float(temperature)
-        draws_per_spin = 2 if activity < 1.0 else 1
-
-        orders = np.zeros((batch, max_size), dtype=int)
-        draws = np.zeros((batch, max_size, draws_per_spin, num_reads))
-        for index in range(batch):
-            size = int(sizes[index])
-            if size == 0:
-                continue
-            orders[index, :size] = children[index].permutation(size)
-            draws[index, :size] = children[index].random((size, draws_per_spin, num_reads))
-
-        for position in range(max_size):
-            active = mask[:, position]
-            if not np.any(active):
-                break
-            index = orders[:, position]
-            current = spins[lanes, :, index]
-            delta_energy = -2.0 * current * local[lanes, :, index] * problem
-            accept = (delta_energy <= 0.0) | (
-                draws[:, position, 0]
-                < np.exp(-np.clip(delta_energy, 0.0, 700.0) / temperature)
-            )
-            if activity < 1.0:
-                accept &= draws[:, position, 1] < activity
-            accept &= active[:, None]
-            touched = np.nonzero(np.any(accept, axis=1))[0]
-            if touched.size == 0:
-                continue
-            flipped = np.where(accept, -current, current)
-            change = flipped - current
-            spins[lanes, :, index] = flipped
-            rows = symmetric[touched, index[touched], :]
-            local[touched] += change[touched][:, :, None] * rows[:, None, :]
-    return spins
 
 
 # --------------------------------------------------------------------- #
@@ -966,88 +867,3 @@ def svmc_sweeps(*args, implementation: str = "vectorized", **kwargs) -> np.ndarr
             f"choose one of {', '.join(_SVMC_IMPLEMENTATIONS)}"
         ) from None
     return _dispatch_instrumented("svmc", implementation, kernel, args, kwargs)
-
-
-@_instrument_legacy("svmc")
-def svmc_sweeps_legacy(
-    theta: np.ndarray,
-    cosines: np.ndarray,
-    local: np.ndarray,
-    symmetric: np.ndarray,
-    mask: np.ndarray,
-    sizes: np.ndarray,
-    children: Sequence[np.random.Generator],
-    settings: SweepSettings,
-    *,
-    proposal_width: float,
-    uniform_fraction: float,
-) -> np.ndarray:
-    """The pre-rewrite sequential SVMC dynamics, preserved verbatim.
-
-    Operates on the historical ``(batch, reads, max_size)`` layout with
-    per-sweep random visit orders, separate uniform-angle/mix/accept draws
-    and per-position ``exp`` gates.  Benchmark baseline and
-    ``REPRO_KERNEL=legacy`` escape hatch.
-    """
-    batch, num_reads, max_size = theta.shape
-    lanes = np.arange(batch)
-    for problem, transverse, temperature, activity in settings:
-        temperature = float(temperature)
-        draws_per_spin = 2 if activity < 1.0 else 1
-
-        orders = np.zeros((batch, max_size), dtype=int)
-        normals = np.zeros((batch, max_size, num_reads))
-        uniform_angles = np.zeros((batch, max_size, num_reads))
-        use_draws = np.ones((batch, max_size, num_reads))
-        accept_draws = np.ones((batch, max_size, draws_per_spin, num_reads))
-        for index in range(batch):
-            size = int(sizes[index])
-            if size == 0:
-                continue
-            child = children[index]
-            orders[index, :size] = child.permutation(size)
-            normals[index, :size] = child.normal(0.0, proposal_width, size=(size, num_reads))
-            uniform_angles[index, :size] = child.uniform(0.0, np.pi, size=(size, num_reads))
-            use_draws[index, :size] = child.random((size, num_reads))
-            accept_draws[index, :size] = child.random((size, draws_per_spin, num_reads))
-
-        for position in range(max_size):
-            active = mask[:, position]
-            if not np.any(active):
-                break
-            index = orders[:, position]
-            current_theta = theta[lanes, :, index]
-            current_cos = cosines[lanes, :, index]
-            current_sin = np.sin(current_theta)
-
-            gaussian = current_theta + normals[:, position]
-            use_uniform = use_draws[:, position] < uniform_fraction
-            proposed_theta = np.where(
-                use_uniform, uniform_angles[:, position], np.clip(gaussian, 0.0, np.pi)
-            )
-            proposed_cos = np.cos(proposed_theta)
-            proposed_sin = np.sin(proposed_theta)
-
-            problem_field = local[lanes, :, index]
-            delta_energy = problem * problem_field * (proposed_cos - current_cos)
-            delta_energy -= transverse * (proposed_sin - current_sin)
-
-            accept = (delta_energy <= 0.0) | (
-                accept_draws[:, position, 0]
-                < np.exp(-np.clip(delta_energy, 0.0, 700.0) / temperature)
-            )
-            if activity < 1.0:
-                accept &= accept_draws[:, position, 1] < activity
-            accept &= active[:, None]
-            touched = np.nonzero(np.any(accept, axis=1))[0]
-            if touched.size == 0:
-                continue
-
-            new_theta = np.where(accept, proposed_theta, current_theta)
-            new_cos = np.cos(new_theta)
-            change = new_cos - current_cos
-            theta[lanes, :, index] = new_theta
-            cosines[lanes, :, index] = new_cos
-            rows = symmetric[touched, index[touched], :]
-            local[touched] += change[touched][:, :, None] * rows[:, None, :]
-    return cosines

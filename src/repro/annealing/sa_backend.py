@@ -28,7 +28,7 @@ program over ``(batch, spins, reads)`` per sweep — while drawing each
 instance's randomness from its own child generator, so batched and
 sequential results are bitwise-identical and independent of batch grouping.
 The ``REPRO_KERNEL`` environment variable selects the kernel implementation
-(vectorized / reference / numba / legacy); see ``docs/kernels.md``.
+(vectorized / reference / numba); see ``docs/kernels.md``.
 """
 
 from __future__ import annotations
@@ -161,8 +161,7 @@ class ScheduleDrivenAnnealingBackend(AnnealingBackend):
         ``b`` draws exclusively from child generator ``b``, so results are
         independent of how a workload is grouped into batches.  The sweep
         implementation is selected by the ``REPRO_KERNEL`` environment
-        variable; ``REPRO_KERNEL=legacy`` reproduces the pre-kernel-rewrite
-        sequential dynamics bit for bit.
+        variable.
         """
         if num_reads <= 0:
             raise ConfigurationError(f"num_reads must be positive, got {num_reads}")
@@ -193,29 +192,6 @@ class ScheduleDrivenAnnealingBackend(AnnealingBackend):
 
         settings = self._sweep_settings(schedule, annealing_functions, relative_temperature)
         kernel = kernels.active_kernel_name()
-
-        if kernel == "legacy":
-            # Pre-rewrite read-major layout and sequential per-position sweeps.
-            spins = np.ones((batch, num_reads, max_size))
-            local = np.zeros((batch, num_reads, max_size))
-            for index in range(batch):
-                size = int(sizes[index])
-                if size == 0:
-                    continue
-                if initials[index] is not None:
-                    spins[index, :, :size] = initials[index].astype(float)
-                else:
-                    spins[index, :, :size] = children[index].choice(
-                        [-1.0, 1.0], size=(num_reads, size)
-                    )
-                local[index, :, :size] = (
-                    padded_fields[index, :size][None, :]
-                    + spins[index, :, :size] @ symmetric[index, :size, :size]
-                )
-            kernels.sa_sweeps_legacy(spins, local, symmetric, mask, sizes, children, settings)
-            return [
-                spins[index, :, : int(sizes[index])].astype(np.int8) for index in range(batch)
-            ]
 
         # Replica-parallel kernels use the spin-major (batch, spins, reads)
         # layout.  Padding lanes start at +1 and, having zero couplings, never

@@ -29,8 +29,8 @@ the replica-parallel rotor kernels of :mod:`repro.annealing.kernels` — one
 array program over ``(batch, spins, reads)`` per sweep — with per-instance
 child generators so batched and sequential results are bitwise-identical
 and independent of batch grouping.  The ``REPRO_KERNEL`` environment
-variable selects the kernel implementation (vectorized / reference / numba /
-legacy); see ``docs/kernels.md``.
+variable selects the kernel implementation (vectorized / reference /
+numba); see ``docs/kernels.md``.
 """
 
 from __future__ import annotations
@@ -179,8 +179,7 @@ class SpinVectorMonteCarloBackend(AnnealingBackend):
         instance ``b`` drawing exclusively from child generator ``b`` — so
         results are independent of how a workload is grouped into batches.
         The sweep implementation is selected by the ``REPRO_KERNEL``
-        environment variable; ``REPRO_KERNEL=legacy`` reproduces the
-        pre-kernel-rewrite sequential dynamics bit for bit.
+        environment variable.
         """
         if num_reads <= 0:
             raise ConfigurationError(f"num_reads must be positive, got {num_reads}")
@@ -211,40 +210,6 @@ class SpinVectorMonteCarloBackend(AnnealingBackend):
 
         settings = self._sweep_settings(schedule, annealing_functions, relative_temperature)
         kernel = kernels.active_kernel_name()
-
-        if kernel == "legacy":
-            # Pre-rewrite read-major layout and sequential per-position sweeps.
-            theta = np.zeros((batch, num_reads, max_size))
-            cosines = np.ones((batch, num_reads, max_size))
-            local = np.zeros((batch, num_reads, max_size))
-            for index in range(batch):
-                size = int(sizes[index])
-                if size == 0:
-                    continue
-                theta[index, :, :size] = self._initial_angles(
-                    initials[index], num_reads, size, children[index]
-                )
-                cosines[index, :, :size] = np.cos(theta[index, :, :size])
-                local[index, :, :size] = (
-                    padded_fields[index, :size][None, :]
-                    + cosines[index, :, :size] @ symmetric[index, :size, :size]
-                )
-            kernels.svmc_sweeps_legacy(
-                theta,
-                cosines,
-                local,
-                symmetric,
-                mask,
-                sizes,
-                children,
-                settings,
-                proposal_width=self.proposal_width,
-                uniform_fraction=self.uniform_fraction,
-            )
-            return [
-                self._project(cosines[index, :, : int(sizes[index])], children[index])
-                for index in range(batch)
-            ]
 
         # Replica-parallel kernels use the spin-major (batch, spins, reads)
         # layout.  Padding rotors sit at theta = 0 (cos 1, sin 0) with zero

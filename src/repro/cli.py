@@ -55,6 +55,7 @@ import sys
 from typing import List, Optional
 
 from repro import telemetry
+from repro.annealing import kernels
 from repro.experiments import STUDIES, Study
 from repro.parallel import ResultCache
 from repro.telemetry import exporters
@@ -294,6 +295,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.error("--quiet and --verbose are mutually exclusive")
     if arguments.experiment == "ablate" and arguments.spec is None:
         parser.error("ablate requires --spec FILE (a .toml or .json study spec)")
+    # Checked up front: warm cached shards never reach the kernels, so a
+    # stale REPRO_KERNEL (e.g. the retired ``legacy``) would pass silently.
+    kernels.requested_kernel_name()
     options = CommonRunOptions.from_arguments(arguments)
     configure_logging(-1 if arguments.quiet else arguments.verbose)
 

@@ -94,8 +94,7 @@ class Figure8Config:
         presents "one typical 8-user 16-QAM detection instance" and calls its
         results illustrative — the default seed selects a typical instance in
         which the greedy initial state is configurationally close to the
-        optimum; the instance-to-instance spread is documented in
-        EXPERIMENTS.md.
+        optimum.
     """
 
     num_users: int = 8

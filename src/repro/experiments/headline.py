@@ -43,9 +43,7 @@ class HeadlineConfig:
         problem instance" and notes its results are "mostly illustrative"; the
         default seed selects such a typical instance (one where the greedy
         initial state lies configurationally close to the optimum, which is
-        the regime reverse annealing exploits).  Instance-to-instance
-        variability is large — EXPERIMENTS.md reports the spread over random
-        seeds alongside this default.
+        the regime reverse annealing exploits).
     switch_values:
         s_p grid searched for each method's best operating point.
     num_reads:

@@ -139,6 +139,13 @@ class TestMain:
         assert exit_code == 0
         assert warm == cold
 
+    def test_unknown_kernel_rejected_even_from_a_warm_cache(self, monkeypatch, tmp_path):
+        cache_dir = str(tmp_path / "cli-cache")
+        assert cli.main(["fig3", "--quick", "--cache-dir", cache_dir]) == 0
+        monkeypatch.setenv("REPRO_KERNEL", "legacy")
+        with pytest.raises(ConfigurationError, match="REPRO_KERNEL='legacy'"):
+            cli.main(["fig3", "--quick", "--cache-dir", cache_dir])
+
 
 _HPO_SPEC_TOML = """\
 name = "cli-hpo"

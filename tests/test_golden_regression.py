@@ -12,8 +12,7 @@ After an *intentional* numerics change, regenerate with::
 
 The fixtures are recorded under the ``vectorized`` kernel and equally bind
 the ``numba`` kernel (bitwise-equal by contract, see tests/test_kernels.py);
-under ``reference`` (too slow) or ``legacy`` (different dynamics by design)
-the tests skip.
+under ``reference`` (bitwise-equal too, but too slow) the tests skip.
 """
 
 import dataclasses

@@ -174,10 +174,14 @@ class TestKernelSelection:
         monkeypatch.setenv(KERNEL_ENV_VAR, "  Reference ")
         assert kernels.requested_kernel_name() == "reference"
 
-    def test_unknown_value_is_rejected(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV_VAR, "turbo")
-        with pytest.raises(ConfigurationError, match="turbo"):
+    # ``legacy`` named the pre-rewrite sequential sweeps, which now live only
+    # as the frozen benchmark baseline; a stale setting must fail loudly.
+    @pytest.mark.parametrize("name", ["turbo", "legacy"])
+    def test_unknown_value_is_rejected(self, monkeypatch, name):
+        monkeypatch.setenv(KERNEL_ENV_VAR, name)
+        with pytest.raises(ConfigurationError, match=name) as excinfo:
             kernels.requested_kernel_name()
+        assert "choose one of vectorized, reference, numba" in str(excinfo.value)
         with pytest.raises(ConfigurationError):
             kernels.active_kernel_name()
 

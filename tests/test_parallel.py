@@ -121,18 +121,16 @@ class TestTaskFingerprint:
         kwargs = {"value": 3}
         assert task_fingerprint(_square, kwargs) != task_fingerprint(_fail, {"message": "x"})
 
-    def test_sensitive_to_legacy_kernel_dynamics(self, monkeypatch):
-        from repro.annealing.kernels import KERNEL_ENV_VAR
+    def test_shared_across_kernel_implementations(self, monkeypatch):
+        from repro.annealing.kernels import KERNEL_CHOICES, KERNEL_ENV_VAR
 
         monkeypatch.delenv(KERNEL_ENV_VAR, raising=False)
         base = task_fingerprint(_seeded_draw, {"seed": 1, "count": 5}, ("k",))
-        # Choosing among the bitwise-equal replica implementations must not
-        # invalidate cached results...
-        monkeypatch.setenv(KERNEL_ENV_VAR, "reference")
-        assert task_fingerprint(_seeded_draw, {"seed": 1, "count": 5}, ("k",)) == base
-        # ...but the preserved legacy dynamics are a different result class.
-        monkeypatch.setenv(KERNEL_ENV_VAR, "legacy")
-        assert task_fingerprint(_seeded_draw, {"seed": 1, "count": 5}, ("k",)) != base
+        # Choosing among the bitwise-equal kernel implementations must not
+        # invalidate cached results.
+        for name in KERNEL_CHOICES:
+            monkeypatch.setenv(KERNEL_ENV_VAR, name)
+            assert task_fingerprint(_seeded_draw, {"seed": 1, "count": 5}, ("k",)) == base
 
     def test_library_digest_is_stable_within_a_process(self):
         from repro.parallel.cache import _library_digest
