@@ -1,8 +1,9 @@
 """Regenerate the golden regression fixtures in ``tests/golden/``.
 
 The fixtures freeze the full numeric output of the quick experiment
-configurations (Figure 6 distributions, Figure 8 TTS sweep, and the SNR/BER
-study) under the replica-parallel sweep kernels.  ``tests/test_golden_regression.py``
+configurations (Figure 6 distributions, Figure 8 TTS sweep, the SNR/BER
+study, and the serving studies' rows) under the replica-parallel sweep
+kernels.  ``tests/test_golden_regression.py``
 re-runs the same configurations on every CI run and fails with a readable
 field-by-field diff whenever any number moves — so a change to the kernels,
 the RNG draw discipline, or the experiment plumbing cannot silently alter
@@ -50,6 +51,12 @@ from repro.experiments.network_study import (  # noqa: E402
     NetworkStudyConfig,
     run_network_study,
 )
+from repro.experiments.load_study import LoadStudyConfig, run_load_study  # noqa: E402
+from repro.experiments.qos_study import QoSStudyConfig, run_qos_study  # noqa: E402
+from repro.experiments.scenario_study import (  # noqa: E402
+    ScenarioStudyConfig,
+    run_scenario_study,
+)
 from repro.experiments.snr_study import SNRStudyConfig, run_snr_study  # noqa: E402
 
 GOLDEN_DIR = REPO_ROOT / "tests" / "golden"
@@ -78,6 +85,9 @@ STUDIES = {
     "fig6_quick": lambda: run_figure6(Figure6Config.quick()),
     "fig8_quick": lambda: run_figure8(Figure8Config.quick()),
     "network_quick": lambda: run_network_study(NetworkStudyConfig.quick()).rows,
+    "qos_quick": lambda: run_qos_study(QoSStudyConfig.quick()).rows,
+    "scenarios_quick": lambda: run_scenario_study(ScenarioStudyConfig.quick()).rows,
+    "serve_quick": lambda: run_load_study(LoadStudyConfig.quick()).rows,
     "single_shard_quick": _single_shard_rows,
     "snr_quick": lambda: run_snr_study(SNRStudyConfig.quick()),
 }

@@ -42,6 +42,9 @@ from repro.experiments import (
 from repro.experiments.fig6_distributions import Figure6Config, run_figure6
 from repro.experiments.fig8_tts import Figure8Config, run_figure8
 from repro.experiments.network_study import NetworkStudyConfig, run_network_study
+from repro.experiments.load_study import LoadStudyConfig, run_load_study
+from repro.experiments.qos_study import QoSStudyConfig, run_qos_study
+from repro.experiments.scenario_study import ScenarioStudyConfig, run_scenario_study
 from repro.experiments.snr_study import SNRStudyConfig, run_snr_study
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
@@ -74,6 +77,9 @@ STUDIES = {
     "fig6_quick": lambda: run_figure6(Figure6Config.quick()),
     "fig8_quick": lambda: run_figure8(Figure8Config.quick()),
     "network_quick": lambda: run_network_study(NetworkStudyConfig.quick()).rows,
+    "qos_quick": lambda: run_qos_study(QoSStudyConfig.quick()).rows,
+    "scenarios_quick": lambda: run_scenario_study(ScenarioStudyConfig.quick()).rows,
+    "serve_quick": lambda: run_load_study(LoadStudyConfig.quick()).rows,
     "single_shard_quick": _single_shard_rows,
     "snr_quick": lambda: run_snr_study(SNRStudyConfig.quick()),
 }
@@ -115,6 +121,9 @@ def _row_label(row) -> str:
             "snr_db",
             "placement",
             "point_id",
+            "scenario",
+            "service_class",
+            "load_factor",
         )
         if k in row
     ]
