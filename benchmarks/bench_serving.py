@@ -11,6 +11,12 @@ taking the highest factor whose deadline-miss rate stays at or below the
 target (5%).  The timing model is deterministic, so the sweep is exactly
 reproducible.
 
+A second gate times admission control itself: the simulator's one-scan-per-
+decision pressure check (``RANServingSimulator._pressured_jobs``) against
+the frozen per-job predicate it replaced (:func:`naive_pressured_jobs`), on
+a fixed 64-job mixed-size queue over busy workers.  Both scans must return
+the same jobs, and the same-run median time ratio must be at least 5x.
+
 Run standalone (CI smoke uses ``--smoke``)::
 
     python benchmarks/bench_serving.py [--smoke]
@@ -23,13 +29,18 @@ or through the pytest-benchmark harness::
 from __future__ import annotations
 
 import argparse
+import statistics
 import sys
+import time
+
+import numpy as np
 
 from repro.serving.backends import AnnealerServingBackend
-from repro.serving.pool import BackendPool
+from repro.serving.pool import BackendPool, build_pool
 from repro.serving.simulator import RANServingSimulator
-from repro.serving.workload import generate_serving_jobs, uniform_cell_profiles
-from repro.wireless.mimo import MIMOConfig
+from repro.serving.workload import ServingJob, generate_serving_jobs, uniform_cell_profiles
+from repro.wireless.mimo import MIMOConfig, simulate_transmission
+from repro.wireless.traffic import ChannelUse
 
 #: Offered-load grid (multiples of the nominal per-user rate).
 LOAD_GRID = (0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
@@ -48,6 +59,15 @@ NUM_READS = 50
 POOL_WORKERS = 4
 LANES = 8
 SEED = 11
+
+#: Admission-scan gate: queue depth, link shapes cycled over it, decision
+#: time, calls per timed sample, samples per side and the required ratio.
+SCAN_QUEUE_DEPTH = 64
+SCAN_SHAPES = ((2, "QPSK"), (2, "16-QAM"), (3, "QPSK"), (1, "64-QAM"), (2, "BPSK"))
+SCAN_NOW_US = 100.0
+SCAN_CALLS = 40
+SCAN_SAMPLES = 15
+SCAN_GATE_RATIO = 5.0
 
 
 def _jobs(load_factor: float, jobs_per_user: int):
@@ -125,6 +145,95 @@ def run_capacity_sweep(jobs_per_user: int = 100) -> dict:
     }
 
 
+def naive_pressured_jobs(simulator: RANServingSimulator, queue, now: float) -> list:
+    """Frozen per-job admission predicate: the scan gate's baseline.
+
+    Before admission pressure became one scan per decision, every queued
+    job was checked on its own: read the active annealers, then take the
+    best solo completion over them.  Kept here verbatim, outside the
+    library, solely as the baseline of :func:`measure_admission_scan`; do
+    not edit it, or the gate's baseline moves.
+    """
+
+    def pressured(job) -> bool:
+        if job.deadline_us is None:
+            return False
+        workers = simulator.pool.active_annealer_workers
+        if not workers:
+            return True
+        best_completion = min(
+            max(now, worker.server.free_at_us, worker.available_from_us)
+            + worker.backend.service_time_us([job])
+            for worker in workers
+        )
+        return best_completion > job.deadline_us + 1e-9
+
+    return [job for job in queue if pressured(job)]
+
+
+def _scan_fixture():
+    """``build_pool(2, 1)`` with busy workers and a fixed mixed-size queue."""
+    simulator = RANServingSimulator(pool=build_pool(2, 1))
+    for worker, busy_until in zip(simulator.pool.workers, (300.0, 700.0, 250.0)):
+        worker.server.serve(0.0, busy_until)
+    rng = np.random.default_rng(SEED)
+    queue = []
+    for job_id in range(SCAN_QUEUE_DEPTH):
+        users, modulation = SCAN_SHAPES[job_id % len(SCAN_SHAPES)]
+        arrival = float(job_id)
+        # Every fourth job is deadline-free; the rest spread across the
+        # pressured/unpressured boundary of the busy annealers.
+        deadline = None if job_id % 4 == 3 else arrival + 200.0 + 9.0 * job_id
+        use = ChannelUse(
+            index=job_id,
+            arrival_time_us=arrival,
+            transmission=simulate_transmission(MIMOConfig(users, modulation), rng=rng),
+            deadline_us=deadline,
+        )
+        queue.append(ServingJob(job_id=job_id, user_id=job_id, cell_id=0, channel_use=use))
+    return simulator, queue
+
+
+def _time_calls(scan, *args) -> float:
+    start = time.perf_counter()
+    for _ in range(SCAN_CALLS):
+        scan(*args)
+    return (time.perf_counter() - start) / SCAN_CALLS
+
+
+def measure_admission_scan() -> dict:
+    """Median seconds per decision of both scans, and their same-run ratio."""
+    simulator, queue = _scan_fixture()
+    scanned = simulator._pressured_jobs(queue, SCAN_NOW_US)
+    baseline = naive_pressured_jobs(simulator, queue, SCAN_NOW_US)
+    if [job.job_id for job in scanned] != [job.job_id for job in baseline]:
+        raise AssertionError("the admission scan disagrees with the per-job predicate")
+    # Interleave the two sides so a transient load spike hits both.
+    naive_times, scan_times = [], []
+    for _ in range(SCAN_SAMPLES):
+        naive_times.append(_time_calls(naive_pressured_jobs, simulator, queue, SCAN_NOW_US))
+        scan_times.append(_time_calls(simulator._pressured_jobs, queue, SCAN_NOW_US))
+    naive_s = statistics.median(naive_times)
+    scan_s = statistics.median(scan_times)
+    return {
+        "queue_depth": len(queue),
+        "pressured": len(scanned),
+        "naive_us_per_decision": naive_s * 1e6,
+        "scan_us_per_decision": scan_s * 1e6,
+        "ratio": naive_s / scan_s,
+    }
+
+
+def format_scan_line(scan: dict) -> str:
+    """One line summarising the admission-scan gate."""
+    return (
+        f"admission scan: depth {scan['queue_depth']} ({scan['pressured']} pressured), "
+        f"per-job {scan['naive_us_per_decision']:.1f} us vs scan "
+        f"{scan['scan_us_per_decision']:.1f} us per decision -> {scan['ratio']:.1f}x "
+        f"(required >= {SCAN_GATE_RATIO:.1f}x)"
+    )
+
+
 def format_report(result: dict) -> str:
     """Render the capacity sweep as an aligned text report."""
     lines = [
@@ -159,6 +268,14 @@ def test_serving_capacity(benchmark, report_writer):
     assert result["gain"] >= REQUIRED_GAIN
 
 
+def test_admission_scan_speedup(benchmark, report_writer):
+    from conftest import run_once
+
+    scan = run_once(benchmark, measure_admission_scan)
+    report_writer("admission_scan", format_scan_line(scan), data=scan)
+    assert scan["ratio"] >= SCAN_GATE_RATIO, format_scan_line(scan)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -169,6 +286,8 @@ def main(argv=None) -> int:
     arguments = parser.parse_args(argv)
     result = run_capacity_sweep(jobs_per_user=30 if arguments.smoke else 100)
     print(format_report(result))
+    scan = measure_admission_scan()
+    print(format_scan_line(scan))
     if result["serialized_sustained"] <= 0.0:
         print("FAIL: serialized baseline sustained no load point", file=sys.stderr)
         return 1
@@ -176,6 +295,13 @@ def main(argv=None) -> int:
         print(
             f"FAIL: pooled capacity gain {result['gain']:.2f}x below the "
             f"{REQUIRED_GAIN:.1f}x acceptance bar",
+            file=sys.stderr,
+        )
+        return 1
+    if scan["ratio"] < SCAN_GATE_RATIO:
+        print(
+            f"FAIL: admission scan {scan['ratio']:.2f}x faster than the per-job "
+            f"predicate, below the {SCAN_GATE_RATIO:.1f}x gate",
             file=sys.stderr,
         )
         return 1

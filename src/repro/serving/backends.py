@@ -86,7 +86,13 @@ class ServingBackend(abc.ABC):
 
     @abc.abstractmethod
     def service_time_us(self, jobs: Sequence[ServingJob]) -> float:
-        """Modelled wall-clock the backend needs to process ``jobs`` as one batch."""
+        """Modelled wall-clock the backend needs to process ``jobs`` as one batch.
+
+        Contract: the service time of a one-job batch depends on the job only
+        through its ``num_variables``.  Admission control relies on it to
+        compute one solo completion per QUBO size per decision instead of one
+        per queued job.
+        """
 
     @abc.abstractmethod
     def solve(

@@ -198,7 +198,7 @@ class RANServingSimulator:
                 elif kind == _AUTOSCALE:
                     autoscale_tick = True
             if autoscale_tick and self.autoscaler is not None:
-                pressured_jobs = [job for job in queue if self._pressured(job, now)]
+                pressured_jobs = self._pressured_jobs(queue, now)
                 pressured = len(pressured_jobs)
                 step_kwargs: Dict = {}
                 if self.autoscaler.config.critical_pressure_jobs is not None:
@@ -346,7 +346,7 @@ class RANServingSimulator:
         the most critical pressured class may be offloaded pre-emptively to
         free annealer capacity for it.
         """
-        pressured = [job for job in queue if self._pressured(job, now)]
+        pressured = self._pressured_jobs(queue, now)
         if not self.class_aware:
             return pressured
         demotable = [job for job in pressured if _service_class_of(job).demotable]
@@ -363,26 +363,44 @@ class RANServingSimulator:
         ]
         return demotable + shed
 
-    def _pressured(self, job: ServingJob, now: float) -> bool:
-        """Whether waiting for an annealer already blows the deadline.
+    def _pressured_jobs(self, queue: Sequence[ServingJob], now: float) -> List[ServingJob]:
+        """The queued jobs, in queue order, that would miss their deadline waiting for an annealer.
 
-        Uses the best projected solo completion over the *active* annealer
-        workers (each with its own availability, warm-up horizon and service
-        model), so demotion is correct for heterogeneous and elastic pools.
-        Parked workers are no capacity; warming workers count from the
-        moment they become dispatchable.
+        A job is pressured when its best projected solo completion over the
+        *active* annealer workers (each with its own availability, warm-up
+        horizon and service model) lands after its deadline, so demotion is
+        correct for heterogeneous and elastic pools.  Parked workers are no
+        capacity; warming workers count from the moment they become
+        dispatchable.  With no active annealer every deadline-carrying job
+        is pressured; deadline-free jobs never are.
+
+        One call is one decision: worker start times are read once and the
+        best completion is computed once per QUBO size in the queue (a solo
+        service time depends on the job only through ``num_variables``, see
+        :meth:`~repro.serving.backends.ServingBackend.service_time_us`).
+        Nothing outlives the call, so a pool that changed since the previous
+        decision cannot leave a stale answer.
         """
-        if job.deadline_us is None:
-            return False
-        workers = self.pool.active_annealer_workers
-        if not workers:
-            return True
-        best_completion = min(
-            max(now, worker.server.free_at_us, worker.available_from_us)
-            + worker.backend.service_time_us([job])
-            for worker in workers
-        )
-        return best_completion > job.deadline_us + 1e-9
+        starts = [
+            (max(now, worker.server.free_at_us, worker.available_from_us), worker.backend)
+            for worker in self.pool.active_annealer_workers
+        ]
+        if not starts:
+            return [job for job in queue if job.deadline_us is not None]
+        best_completion: Dict[int, float] = {}
+        pressured = []
+        for job in queue:
+            deadline = job.deadline_us
+            if deadline is None:
+                continue
+            completion = best_completion.get(job.num_variables)
+            if completion is None:
+                completion = best_completion[job.num_variables] = min(
+                    start + backend.service_time_us([job]) for start, backend in starts
+                )
+            if completion > deadline + 1e-9:
+                pressured.append(job)
+        return pressured
 
     def _serve(
         self,

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import bisect
 import dataclasses
+import functools
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
@@ -166,9 +167,9 @@ class ServingJob:
         """Whether the job carries a deadline."""
         return self.channel_use.has_deadline
 
-    @property
+    @functools.cached_property
     def num_variables(self) -> int:
-        """QUBO size of the detection problem."""
+        """QUBO size of the detection problem (derived once per job)."""
         return self.channel_use.qubo_variable_count
 
     @property

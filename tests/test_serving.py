@@ -7,26 +7,38 @@ QUBO shapes, and — because job ``j`` draws exclusively from child generator
 seed, with only the timing changing.
 """
 
+import dataclasses
+import functools
 from typing import List, Sequence
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.annealing import QuantumAnnealerSimulator, SpinVectorMonteCarloBackend
 from repro.exceptions import ConfigurationError
+from repro.network.topology import build_topology
 from repro.serving import (
+    SCENARIO_NAMES,
     AnnealerServingBackend,
+    AutoscaleConfig,
+    AutoscaleController,
     BackendPool,
     ClassicalServingBackend,
     EdfPolicy,
+    ElasticBackendPool,
     EventQueue,
     FifoPolicy,
     FifoServer,
+    HandoverModel,
     RANServingSimulator,
     ServingBackend,
     ServingJob,
     UserProfile,
     build_pool,
+    build_scenario,
     generate_serving_jobs,
     resolve_policy,
     select_batch,
@@ -791,3 +803,262 @@ class TestServingReportEdgeCases:
         # "higher" rounds up to the next observed order statistic.
         assert report.p95_latency_us == pytest.approx(58.0)
         assert report.p99_latency_us == pytest.approx(60.0)
+
+
+# ---------------------------------------------------------------------- #
+# Admission pressure scan
+# ---------------------------------------------------------------------- #
+
+
+def _naive_best_completion(simulator, job, now):
+    """Best projected solo completion of ``job`` over the active annealers."""
+    return min(
+        max(now, worker.server.free_at_us, worker.available_from_us)
+        + worker.backend.service_time_us([job])
+        for worker in simulator.pool.active_annealer_workers
+    )
+
+
+def _naive_pressured(simulator, job, now):
+    """Executable spec of admission pressure, evaluated one job at a time."""
+    if job.deadline_us is None:
+        return False
+    if not simulator.pool.active_annealer_workers:
+        return True
+    return _naive_best_completion(simulator, job, now) > job.deadline_us + 1e-9
+
+
+def _naive_pressured_jobs(simulator, queue, now):
+    return [job for job in queue if _naive_pressured(simulator, job, now)]
+
+
+#: (users, modulation) link shapes; 2 x QPSK and 1 x 16-QAM share a QUBO size.
+_SCAN_SHAPES = ((2, "QPSK"), (1, "16-QAM"), (2, "16-QAM"), (3, "QPSK"), (2, "BPSK"))
+
+_scan_settings = settings(
+    max_examples=150,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+@functools.lru_cache(maxsize=None)
+def _scan_transmissions():
+    rng = np.random.default_rng(7)
+    return tuple(
+        simulate_transmission(MIMOConfig(users, modulation), rng=rng)
+        for users, modulation in _SCAN_SHAPES
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _scan_annealers():
+    """Annealer backends with different lanes and per-batch overheads."""
+    return tuple(
+        AnnealerServingBackend(
+            num_reads=reads,
+            lanes=lanes,
+            programming_overhead_us=overhead,
+            init_time_per_variable_us=init,
+            name=f"annealer-{index}",
+        )
+        for index, (reads, lanes, overhead, init) in enumerate(
+            ((20, 8, 5.0, 0.01), (5, 1, 0.0, 0.0), (10, 2, 17.5, 0.3), (20, 4, 40.0, 1.0))
+        )
+    )
+
+
+def _scan_job(job_id, transmission, deadline_us):
+    use = ChannelUse(
+        index=job_id, arrival_time_us=0.0, transmission=transmission, deadline_us=deadline_us
+    )
+    return ServingJob(job_id=job_id, user_id=job_id, cell_id=0, channel_use=use)
+
+
+def _draw_pool(data, now):
+    """A static or elastic pool with busy, parked and warming workers."""
+    annealers = _scan_annealers()
+    if data.draw(st.booleans(), label="elastic"):
+        size = data.draw(st.integers(1, 4), label="max_annealer_workers")
+        pool = ElasticBackendPool(
+            annealer=data.draw(st.sampled_from(annealers), label="annealer"),
+            max_annealer_workers=size,
+            initial_annealer_workers=data.draw(st.integers(1, size), label="initial"),
+        )
+        for _ in range(data.draw(st.integers(0, 4), label="flexes")):
+            if data.draw(st.booleans(), label="activate"):
+                pool.activate_worker(
+                    data.draw(st.floats(0.0, 1500.0), label="activated_at"),
+                    data.draw(st.sampled_from([0.0, 250.0, 500.0]), label="warmup"),
+                )
+            else:
+                pool.deactivate_worker(now)  # may park every worker
+    else:
+        chosen = data.draw(st.lists(st.sampled_from(annealers), max_size=3), label="annealers")
+        pool = BackendPool(chosen + [ClassicalServingBackend()])
+    for worker in pool.workers:
+        busy_us = data.draw(st.sampled_from([0.0, 0.0, 80.0, 333.3, 1200.0]), label="busy")
+        if busy_us:
+            worker.server.serve(0.0, busy_us)
+    return pool
+
+
+class TestPressureScan:
+    @_scan_settings
+    @given(data=st.data())
+    def test_scan_matches_the_per_job_predicate(self, data):
+        now = data.draw(st.floats(0.0, 1500.0), label="now")
+        simulator = RANServingSimulator(pool=_draw_pool(data, now))
+        has_active = bool(simulator.pool.active_annealer_workers)
+        queue = []
+        for job_id in range(data.draw(st.integers(0, 24), label="queue_depth")):
+            transmission = data.draw(st.sampled_from(_scan_transmissions()), label="shape")
+            kind = data.draw(st.sampled_from(["none", "any", "edge"]), label="deadline")
+            deadline = None
+            if kind == "any" or (kind == "edge" and not has_active):
+                deadline = data.draw(st.floats(1.0, 4000.0), label="deadline_us")
+            elif kind == "edge":
+                best = _naive_best_completion(simulator, _scan_job(job_id, transmission, None), now)
+                offset = data.draw(st.sampled_from([-2e-9, -1e-9, 0.0, 1e-9, 2e-9]), label="offset")
+                deadline = best + offset
+            queue.append(_scan_job(job_id, transmission, deadline))
+
+        scanned = simulator._pressured_jobs(queue, now)
+        expected = _naive_pressured_jobs(simulator, queue, now)
+        assert [job.job_id for job in scanned] == [job.job_id for job in expected]
+        assert all(left is right for left, right in zip(scanned, expected))
+
+    def test_one_solo_service_time_per_qubo_size(self):
+        counting = _scan_annealers()[0]
+        calls = []
+        original = counting.service_time_us
+
+        def spy(jobs):
+            calls.append(jobs[0].num_variables)
+            return original(jobs)
+
+        simulator = RANServingSimulator(pool=BackendPool([counting, counting]))
+        transmissions = _scan_transmissions()
+        queue = [
+            _scan_job(job_id, transmissions[job_id % len(transmissions)], 10.0)
+            for job_id in range(40)
+        ]
+        with mock.patch.object(counting, "service_time_us", spy):
+            pressured = simulator._pressured_jobs(queue, 0.0)
+        sizes = {job.num_variables for job in queue}
+        # Two workers, one probe each per distinct size (2 x QPSK and
+        # 1 x 16-QAM share one).
+        assert len(calls) == 2 * len(sizes) == 8
+        expected = _naive_pressured_jobs(simulator, queue, 0.0)
+        assert [job.job_id for job in pressured] == [job.job_id for job in expected]
+
+    def test_num_variables_is_derived_once_and_follows_replace(self):
+        small, _, large = _scan_transmissions()[:3]
+        job = _scan_job(0, small, None)
+        assert job.num_variables == small.instance.qubo_variable_count == 4
+        with mock.patch.object(
+            type(small.instance), "qubo_variable_count", property(lambda self: 1 / 0)
+        ):
+            assert job.num_variables == 4  # cached: the channel use is not re-read
+        replaced = dataclasses.replace(job, channel_use=_scan_job(0, large, None).channel_use)
+        assert replaced.num_variables == large.instance.qubo_variable_count == 8
+
+
+#: Service-class mixes cycled over each cell's users (None = default class).
+_CLASS_MIXES = (None, ("urllc", "embb", "best_effort"), ("embb", "best_effort"), ("urllc",))
+
+_run_settings = settings(
+    max_examples=25,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+@functools.lru_cache(maxsize=None)
+def _differential_workload(scenario, classes, velocity_mps):
+    topology = build_topology("line", 1, 2)
+    profiles = uniform_cell_profiles(
+        num_cells=2,
+        users_per_cell=3,
+        configs=[MIMOConfig(2, "QPSK"), MIMOConfig(2, "16-QAM")],
+        symbol_period_us=60.0,
+        arrival_process="poisson",
+        turnaround_budget_us=300.0,
+        service_classes=classes,
+    )
+    jobs = generate_serving_jobs(
+        profiles,
+        40,
+        rng=3,
+        scenario=build_scenario(scenario, 2, horizon_us=2_500.0, topology=topology),
+        handover=HandoverModel(velocity_mps=velocity_mps * 1e4, seed=3) if velocity_mps else None,
+    )
+    return topology, tuple(jobs)
+
+
+def _differential_simulator(autoscale, class_aware, topology):
+    annealer = AnnealerServingBackend(num_reads=30, lanes=4)
+    autoscaler = None
+    if autoscale:
+        pool = ElasticBackendPool(
+            annealer=annealer, max_annealer_workers=3, initial_annealer_workers=1
+        )
+        autoscaler = AutoscaleController(
+            AutoscaleConfig(
+                interval_us=100.0,
+                warmup_us=200.0,
+                min_workers=1,
+                max_workers=3,
+                cooldown_us=200.0,
+                hotspot_queue_per_cell=4.0,
+                critical_pressure_jobs=2,
+            )
+        )
+    else:
+        pool = BackendPool([annealer, annealer, ClassicalServingBackend()])
+    return RANServingSimulator(
+        pool=pool,
+        max_batch_size=4,
+        autoscaler=autoscaler,
+        topology=topology,
+        class_aware=class_aware,
+    )
+
+
+class TestAdmissionDifferential:
+    """Whole runs with the scan and with the per-job spec are identical."""
+
+    @_run_settings
+    @given(
+        scenario=st.sampled_from(SCENARIO_NAMES),
+        classes=st.sampled_from(_CLASS_MIXES),
+        velocity_mps=st.sampled_from([0.0, 30.0]),
+        autoscale=st.booleans(),
+        class_aware=st.booleans(),
+    )
+    def test_run_matches_the_per_job_spec(
+        self, scenario, classes, velocity_mps, autoscale, class_aware
+    ):
+        topology, jobs = _differential_workload(scenario, classes, velocity_mps)
+
+        def run():
+            simulator = _differential_simulator(autoscale, class_aware, topology)
+            report = simulator.run(list(jobs))
+            events = list(simulator.autoscaler.events) if autoscale else []
+            return report, events
+
+        report, events = run()
+        with mock.patch.object(RANServingSimulator, "_pressured_jobs", _naive_pressured_jobs):
+            spec_report, spec_events = run()
+
+        assert report.outcomes == spec_report.outcomes
+        assert report.metadata == spec_report.metadata
+        assert events == spec_events
+        assert report == spec_report
+        assert sorted(outcome.job_id for outcome in report.outcomes) == sorted(
+            job.job_id for job in jobs
+        )
+        assert report.num_jobs == len(jobs)
+        assert report.p50_latency_us <= report.p95_latency_us <= report.p99_latency_us
