@@ -11,12 +11,6 @@ optional Pareto front.  See ``docs/ablation.md`` for the full contract.
 
 from repro.ablation.io import load_spec, spec_from_mapping
 from repro.ablation.pareto import ParetoExclusion, ParetoExclusionWarning, pareto_front
-from repro.ablation.registry import (
-    ExperimentTarget,
-    available_targets,
-    get_target,
-    register_target,
-)
 from repro.ablation.spec import (
     AblationSpec,
     StudyPoint,
@@ -29,8 +23,9 @@ from repro.ablation.study import (
     PointResult,
     StudyResult,
     StudyRow,
+    available_targets,
     format_study_table,
-    run_single_config,
+    get_target,
     run_study,
 )
 
@@ -40,7 +35,6 @@ __all__ = [
     "StudyRow",
     "StudyResult",
     "PointResult",
-    "ExperimentTarget",
     "ParetoExclusion",
     "ParetoExclusionWarning",
     "available_targets",
@@ -51,8 +45,6 @@ __all__ = [
     "load_spec",
     "pareto_front",
     "point_fingerprint",
-    "register_target",
-    "run_single_config",
     "run_study",
     "spec_from_config",
     "spec_from_mapping",

@@ -1,7 +1,7 @@
 """Declarative ablation/HPO study specifications and their expansion.
 
 An :class:`AblationSpec` is the whole description of a tradeoff study: which
-registered experiment to sweep (see :mod:`repro.ablation.registry`), a preset
+experiment to sweep (see :func:`repro.ablation.study.get_target`), a preset
 plus base-config overrides, the axes to vary, and how the resulting grid is
 explored (full cartesian product or a seed-keyed subsample).  The spec is a
 frozen value object — :func:`expand_spec` turns it into a deterministic,
@@ -106,7 +106,7 @@ class AblationSpec:
         differently named but otherwise identical specs share cache entries.
     experiment:
         A registered experiment target (see
-        :func:`repro.ablation.registry.available_targets`).
+        :func:`repro.ablation.study.available_targets`).
     preset:
         Which of the target's configuration presets seeds the base config
         (``default`` / ``quick`` / ``paper`` where supported).
@@ -405,9 +405,7 @@ def spec_from_config(name: str, experiment: str, config: Any) -> AblationSpec:
     """The degenerate one-point spec equivalent to running ``config`` directly.
 
     Every config field becomes a base override, so the single expanded point
-    compiles back to exactly ``config`` — this is how the rewired experiment
-    drivers (fig8, robustness) express themselves as thin specs over the
-    harness.
+    compiles back to exactly ``config``.
     """
     base = {
         field.name: _freeze(getattr(config, field.name))

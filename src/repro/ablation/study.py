@@ -8,13 +8,13 @@ call over the concatenated task list (so sharding spans study points and the
 scalar metrics, ``experiment.point`` telemetry events, and an optional
 Pareto front over the spec's objectives.
 
-Because a point's shards are exactly the work units the imperative driver
-would build for the same config, a study is bitwise-identical to running the
-driver once per point — serial, at any worker count, or warm from cache —
-and editing one axis value recomputes only the points that use it.
-
-:func:`run_single_config` is the degenerate one-point study the rewired
-drivers (``run_figure8``, ``run_robustness_study``) are thin wrappers over.
+A spec's ``experiment`` names an :class:`~repro.experiments.driver.
+ExperimentDriver` (:func:`get_target`): a registry study whose driver
+declares metrics, or ``anneal-hpo``.  Because a point's shards are exactly
+the work units the imperative driver would build for the same config, a
+study is bitwise-identical to running the driver once per point — serial,
+at any worker count, or warm from cache — and editing one axis value
+recomputes only the points that use it.
 """
 
 from __future__ import annotations
@@ -23,24 +23,27 @@ import dataclasses
 import json
 import math
 from dataclasses import dataclass
-from typing import Any, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from repro import telemetry
 from repro.ablation.pareto import ParetoExclusion, pareto_front
-from repro.ablation.registry import ExperimentTarget, get_target
 from repro.ablation.spec import AblationSpec, StudyPoint, compile_config, expand_spec
 from repro.exceptions import ConfigurationError
 from repro.parallel import ParallelRunner, ResultCache, ShardTask
 from repro.parallel.runner import RunStats
 from repro.telemetry.log import get_logger
 
+if TYPE_CHECKING:
+    from repro.experiments.driver import ExperimentDriver
+
 __all__ = [
     "ABLATION_ARTIFACT_SCHEMA_VERSION",
     "PointResult",
     "StudyRow",
     "StudyResult",
+    "available_targets",
+    "get_target",
     "run_study",
-    "run_single_config",
     "format_study_table",
 ]
 
@@ -146,20 +149,58 @@ def _jsonable(value: Any) -> Any:
     return value
 
 
-def _validate_metric_names(spec: AblationSpec, target: ExperimentTarget) -> None:
-    known = set(target.metric_names)
+#: An experiment's config factories by preset name.
+Presets = Dict[str, Callable[[], Any]]
+
+
+def _targets() -> Dict[str, Tuple[ExperimentDriver, Presets]]:
+    """``name -> (driver, presets)`` for every experiment a spec can sweep.
+
+    The targets are the registry studies whose driver declares metrics, plus
+    ``anneal-hpo``.  The imports are local so that importing
+    :mod:`repro.ablation` never loads the study modules.
+    """
+    from repro.ablation.targets import AnnealHPOConfig, AnnealHPODriver
+    from repro.experiments.registry import STUDIES, config_presets
+
+    targets = {
+        study.name: (study.driver, study.presets) for study in STUDIES if study.driver.metric_names
+    }
+    targets["anneal-hpo"] = (AnnealHPODriver(), config_presets(AnnealHPOConfig))
+    return targets
+
+
+def get_target(name: str) -> Tuple[ExperimentDriver, Presets]:
+    """The driver and config presets of the experiment a spec names."""
+    targets = _targets()
+    try:
+        return targets[name]
+    except KeyError:
+        raise ConfigurationError(
+            f"unknown experiment {name!r}; registered experiments: "
+            + ", ".join(sorted(targets))
+        ) from None
+
+
+def available_targets() -> Tuple[str, ...]:
+    """The experiment names a spec can sweep, sorted."""
+    return tuple(sorted(_targets()))
+
+
+def _validate_metric_names(spec: AblationSpec, driver: ExperimentDriver) -> None:
+    known = set(driver.metric_names)
     for selector in spec.metrics:
         if selector not in known:
             raise ConfigurationError(
                 f"unknown metric {selector!r} for experiment {spec.experiment!r}; "
-                f"metrics: {', '.join(target.metric_names)}"
+                f"metrics: {', '.join(driver.metric_names)}"
             )
     selectable = set(spec.metrics) if spec.metrics else known
     for metric, _ in spec.objectives:
         if metric not in known:
             raise ConfigurationError(
                 f"objective metric {metric!r} is not computed by experiment "
-                f"{spec.experiment!r}; metrics: {', '.join(target.metric_names)}"
+                f"{spec.experiment!r}; metrics: {', '.join(driver.metric_names)}"
             )
         if metric not in selectable:
             raise ConfigurationError(
@@ -170,26 +211,31 @@ def _validate_metric_names(spec: AblationSpec, target: ExperimentTarget) -> None
 
 def compile_study(
     spec: AblationSpec,
-) -> Tuple[ExperimentTarget, Tuple[StudyPoint, ...], List[Any], List[ShardTask], List[slice]]:
+) -> Tuple[ExperimentDriver, Tuple[StudyPoint, ...], List[Any], List[ShardTask], List[slice]]:
     """Validate and compile a spec into its points, configs and shard tasks.
 
-    Returns ``(target, points, configs, tasks, slices)`` where ``slices[i]``
+    Returns ``(driver, points, configs, tasks, slices)`` where ``slices[i]``
     selects point ``i``'s tasks inside the concatenated ``tasks`` list.
     """
-    target = get_target(spec.experiment)
-    base_config = target.make_config(spec.preset)
-    _validate_metric_names(spec, target)
+    driver, presets = get_target(spec.experiment)
+    if spec.preset not in presets:
+        raise ConfigurationError(
+            f"experiment {spec.experiment!r} has no preset {spec.preset!r}; presets: "
+            + ", ".join(sorted(presets))
+        )
+    base_config = presets[spec.preset]()
+    _validate_metric_names(spec, driver)
     points = expand_spec(spec)
     configs: List[Any] = []
     tasks: List[ShardTask] = []
     slices: List[slice] = []
     for point in points:
         config = compile_config(spec, point, base_config)
-        inner = list(target.tasks(config))
+        inner = list(driver.tasks(config))
         slices.append(slice(len(tasks), len(tasks) + len(inner)))
         tasks.extend(inner)
         configs.append(config)
-    return target, points, configs, tasks, slices
+    return driver, points, configs, tasks, slices
 
 
 def run_study(
@@ -204,7 +250,7 @@ def run_study(
     and ``cache`` reuses shard results across runs and across the imperative
     drivers (the shards are identical work units); see :mod:`repro.parallel`.
     """
-    target, points, configs, tasks, slices = compile_study(spec)
+    driver, points, configs, tasks, slices = compile_study(spec)
     _log.info(
         "ablation.study_start",
         study=spec.name,
@@ -216,11 +262,11 @@ def run_study(
     runner = ParallelRunner(workers=workers, cache=cache)
     shard_results = runner.run_sharded(tasks)
 
-    selected = spec.metrics or target.metric_names
+    selected = spec.metrics or driver.metric_names
     results: List[PointResult] = []
     for point, config, task_slice in zip(points, configs, slices):
-        rows = tuple(target.collect(config, shard_results[task_slice]))
-        all_metrics = dict(target.metrics(rows))
+        rows = tuple(driver.rows(driver.aggregate(config, shard_results[task_slice])))
+        all_metrics = dict(driver.metrics(rows))
         metrics = tuple((name, float(all_metrics[name])) for name in selected)
         results.append(PointResult(point=point, metrics=metrics, rows=rows))
         telemetry.emit_progress(
@@ -250,25 +296,6 @@ def run_study(
         front=len(front),
     )
     return StudyResult(spec=spec, points=results, front=front, excluded=excluded, stats=stats)
-
-
-def run_single_config(
-    experiment: str,
-    config: Any,
-    workers: Optional[int] = None,
-    cache: Optional[ResultCache] = None,
-) -> Tuple[List[ShardTask], List[Any]]:
-    """Run one explicit config as a degenerate one-point study.
-
-    This is the execution path of the rewired imperative drivers: the
-    target's shard builder produces the work units, the parallel runner
-    executes them, and ``(tasks, shard_results)`` come back in task order for
-    the driver's own row assembly and progress events.
-    """
-    target = get_target(experiment)
-    tasks = list(target.tasks(config))
-    shard_results = ParallelRunner(workers=workers, cache=cache).run_sharded(tasks)
-    return tasks, shard_results
 
 
 def format_study_table(result: StudyResult) -> str:

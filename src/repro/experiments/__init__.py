@@ -31,7 +31,6 @@ from repro.experiments.fig6_distributions import (
     Figure6Config,
     Figure6Driver,
     Figure6Series,
-    figure6_tasks,
     run_figure6,
     format_figure6_table,
 )
@@ -45,7 +44,6 @@ from repro.experiments.fig8_tts import (
     Figure8Config,
     Figure8Driver,
     Figure8Row,
-    figure8_tasks,
     run_figure8,
     format_figure8_table,
 )
@@ -75,7 +73,6 @@ from repro.experiments.snr_study import (
     SNRStudyConfig,
     SNRStudyDriver,
     SNRStudyRow,
-    snr_study_tasks,
     run_snr_study,
     format_snr_table,
 )
@@ -90,7 +87,6 @@ from repro.experiments.load_study import (
     LoadStudyDriver,
     LoadStudyRow,
     LoadStudyResult,
-    load_study_tasks,
     run_load_study,
     format_load_study_table,
 )
@@ -99,7 +95,6 @@ from repro.experiments.scenario_study import (
     ScenarioStudyDriver,
     ScenarioStudyRow,
     ScenarioStudyResult,
-    scenario_study_tasks,
     run_scenario_study,
     format_scenario_table,
 )
@@ -108,7 +103,6 @@ from repro.experiments.robustness_study import (
     RobustnessStudyConfig,
     RobustnessStudyDriver,
     RobustnessRow,
-    robustness_tasks,
     run_robustness_study,
     format_robustness_table,
 )
@@ -118,7 +112,6 @@ from repro.experiments.network_study import (
     NetworkStudyDriver,
     NetworkStudyRow,
     NetworkStudyResult,
-    network_study_tasks,
     run_network_study,
     format_network_table,
 )
@@ -128,7 +121,6 @@ from repro.experiments.qos_study import (
     QoSStudyDriver,
     QoSStudyRow,
     QoSStudyResult,
-    qos_study_tasks,
     run_qos_study,
     format_qos_table,
 )
@@ -152,7 +144,6 @@ __all__ = [
     "Figure6Config",
     "Figure6Driver",
     "Figure6Series",
-    "figure6_tasks",
     "run_figure6",
     "format_figure6_table",
     "Figure7Config",
@@ -162,7 +153,6 @@ __all__ = [
     "Figure8Config",
     "Figure8Driver",
     "Figure8Row",
-    "figure8_tasks",
     "run_figure8",
     "format_figure8_table",
     "HeadlineConfig",
@@ -184,7 +174,6 @@ __all__ = [
     "SNRStudyConfig",
     "SNRStudyDriver",
     "SNRStudyRow",
-    "snr_study_tasks",
     "run_snr_study",
     "format_snr_table",
     "PauseAblationConfig",
@@ -195,21 +184,18 @@ __all__ = [
     "LoadStudyDriver",
     "LoadStudyRow",
     "LoadStudyResult",
-    "load_study_tasks",
     "run_load_study",
     "format_load_study_table",
     "ScenarioStudyConfig",
     "ScenarioStudyDriver",
     "ScenarioStudyRow",
     "ScenarioStudyResult",
-    "scenario_study_tasks",
     "run_scenario_study",
     "format_scenario_table",
     "ROBUSTNESS_AXES",
     "RobustnessStudyConfig",
     "RobustnessStudyDriver",
     "RobustnessRow",
-    "robustness_tasks",
     "run_robustness_study",
     "format_robustness_table",
     "PLACEMENTS",
@@ -217,7 +203,6 @@ __all__ = [
     "NetworkStudyDriver",
     "NetworkStudyRow",
     "NetworkStudyResult",
-    "network_study_tasks",
     "run_network_study",
     "format_network_table",
     "QOS_ARMS",
@@ -225,7 +210,6 @@ __all__ = [
     "QoSStudyDriver",
     "QoSStudyRow",
     "QoSStudyResult",
-    "qos_study_tasks",
     "run_qos_study",
     "format_qos_table",
 ]

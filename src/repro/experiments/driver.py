@@ -17,12 +17,13 @@ call, emit progress telemetry, reassemble the result.
   side effects, kept out of :meth:`aggregate` so imperative runs emit
   exactly what they always did while study points stay silent.
 
-:func:`run_driver` is the one shared execution path: the imperative
-``run_*`` entry points are thin wrappers over it (input validation and
-their ``*.start`` log line stay in the wrapper), studies computed whole run
-as the one shard of a :class:`SingleShardDriver`, and
-:meth:`repro.ablation.registry.ExperimentTarget.from_driver` binds the same
-object into the declarative harness.
+The driver is the only unit of an experiment.  :func:`run_driver` is the
+one shared execution path: the imperative ``run_*`` entry points are thin
+wrappers over it (only their ``*.start`` log line stays in the wrapper;
+configs validate themselves in ``__post_init__``), studies computed whole
+run as the one shard of a :class:`SingleShardDriver`, and the declarative
+harness (:func:`repro.ablation.run_study`) calls the same driver's
+``tasks``/``aggregate``/``rows``/``metrics`` once per study point.
 """
 
 from __future__ import annotations
@@ -58,9 +59,8 @@ def mean_or_nan(values: Sequence[float]) -> float:
 class ExperimentDriver(ABC):
     """One experiment behind the shared ``tasks / aggregate / metrics`` API.
 
-    Subclasses set :attr:`name` (the registry key a
-    :class:`~repro.ablation.registry.ExperimentTarget` binding uses) and
-    :attr:`metric_names` (the declaration-ordered names
+    Subclasses set :attr:`name` (the CLI subcommand and the ablation spec's
+    ``experiment``) and :attr:`metric_names` (the declaration-ordered names
     :meth:`metrics` emits; empty for experiments the ablation harness does
     not sweep), and implement :meth:`tasks` and :meth:`aggregate`.
     """
@@ -97,8 +97,8 @@ class ExperimentDriver(ABC):
     def metrics(self, rows: Sequence[Any]) -> Tuple[Tuple[str, float], ...]:
         """Scalar summary metrics over the tidy rows, in declaration order.
 
-        The default is no metrics — only experiments registered with the
-        ablation harness need them.
+        The default is no metrics — only experiments the ablation harness
+        sweeps need them.
         """
         return ()
 

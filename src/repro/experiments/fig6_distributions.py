@@ -44,7 +44,6 @@ __all__ = [
     "Figure6Config",
     "Figure6Driver",
     "Figure6Series",
-    "figure6_tasks",
     "run_figure6",
     "format_figure6_table",
 ]
@@ -250,39 +249,35 @@ def _selected_configurations(config: Figure6Config) -> List[Tuple[int, str]]:
     return configurations
 
 
-def figure6_tasks(config: Figure6Config) -> List[ShardTask]:
-    """The figure's shard list: one task per (num_users, modulation) pair.
-
-    The per-shard configuration normalises the ``modulations`` filter away
-    (the shard is already pinned to one modulation), so changing which
-    modulations a run sweeps re-keys only the added or removed pairs; the
-    batch-size-invariant ``batch_size`` travels outside the fingerprint so
-    re-chunking a sweep never recomputes it.
-    """
-    shard_config = dataclasses.replace(config, modulations=None, batch_size=None)
-    return [
-        ShardTask(
-            key=("fig6", modulation, num_users),
-            fn=_figure6_shard,
-            kwargs={
-                "config": shard_config,
-                "num_users": num_users,
-                "modulation": modulation,
-                "batch_size": config.batch_size,
-            },
-            fingerprint_exclude=("batch_size",),
-        )
-        for num_users, modulation in _selected_configurations(config)
-    ]
-
-
 class Figure6Driver(ExperimentDriver):
     """Figure 6 behind the shared experiment-driver protocol."""
 
     name = "fig6"
 
     def tasks(self, config: Figure6Config) -> List[ShardTask]:
-        return figure6_tasks(config)
+        """The figure's shard list: one task per (num_users, modulation) pair.
+
+        The per-shard configuration normalises the ``modulations`` filter away
+        (the shard is already pinned to one modulation), so changing which
+        modulations a run sweeps re-keys only the added or removed pairs; the
+        batch-size-invariant ``batch_size`` travels outside the fingerprint so
+        re-chunking a sweep never recomputes it.
+        """
+        shard_config = dataclasses.replace(config, modulations=None, batch_size=None)
+        return [
+            ShardTask(
+                key=("fig6", modulation, num_users),
+                fn=_figure6_shard,
+                kwargs={
+                    "config": shard_config,
+                    "num_users": num_users,
+                    "modulation": modulation,
+                    "batch_size": config.batch_size,
+                },
+                fingerprint_exclude=("batch_size",),
+            )
+            for num_users, modulation in _selected_configurations(config)
+        ]
 
     def aggregate(
         self, config: Figure6Config, results: Sequence[List[Figure6Series]]
@@ -313,8 +308,9 @@ def run_figure6(
             for num_users, modulation in _selected_configurations(config)
             for entry in _figure6_configuration(config, num_users, modulation, sampler)
         ]
-    _log.info("fig6.start", shards=len(figure6_tasks(config)), workers=workers or 1)
-    return run_driver(Figure6Driver(), config, workers=workers, cache=cache)
+    driver = Figure6Driver()
+    _log.info("fig6.start", shards=len(driver.tasks(config)), workers=workers or 1)
+    return run_driver(driver, config, workers=workers, cache=cache)
 
 
 def format_figure6_table(series: Sequence[Figure6Series]) -> str:

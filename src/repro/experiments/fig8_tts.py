@@ -55,7 +55,6 @@ __all__ = [
     "Figure8Config",
     "Figure8Driver",
     "Figure8Row",
-    "figure8_tasks",
     "run_figure8",
     "format_figure8_table",
 ]
@@ -305,40 +304,6 @@ def _figure8_fr_shard(config: Figure8Config, switch_s: float) -> List[Figure8Row
     return _fr_rows(config, _instance_for(config), annealer, switch_s)
 
 
-def figure8_tasks(config: Figure8Config) -> List[ShardTask]:
-    """The figure's shard list: FA sweep, RA family, one task per FR point.
-
-    The FA and RA sweeps consume their child generators *across* the grid
-    (splitting them would change which reads each point draws), so each runs
-    as one shard; the FR oracle is seeded per grid point and shards freely.
-    Each shard's configuration normalises away the knobs its method never
-    reads (the RA-only ``intermediate_initial_quality``, the task-list-level
-    ``include_fr_oracle``, and for FR the grid), so toggling one method's
-    knob re-keys only that method's shards in the cache.
-    """
-    fa_config = dataclasses.replace(
-        config, include_fr_oracle=False, intermediate_initial_quality=None
-    )
-    ra_config = dataclasses.replace(config, include_fr_oracle=False)
-    tasks = [
-        ShardTask(key=("fig8", "fa"), fn=_figure8_fa_shard, kwargs={"config": fa_config}),
-        ShardTask(key=("fig8", "ra"), fn=_figure8_ra_shard, kwargs={"config": ra_config}),
-    ]
-    if config.include_fr_oracle:
-        fr_config = dataclasses.replace(
-            config, switch_values=None, intermediate_initial_quality=None
-        )
-        tasks.extend(
-            ShardTask(
-                key=("fig8", "fr", float(switch_s)),
-                fn=_figure8_fr_shard,
-                kwargs={"config": fr_config, "switch_s": float(switch_s)},
-            )
-            for switch_s in config.grid()
-        )
-    return tasks
-
-
 class Figure8Driver(ExperimentDriver):
     """Figure 8 behind the shared experiment-driver protocol."""
 
@@ -346,7 +311,37 @@ class Figure8Driver(ExperimentDriver):
     metric_names = FIG8_METRICS
 
     def tasks(self, config: Figure8Config) -> List[ShardTask]:
-        return figure8_tasks(config)
+        """The figure's shard list: FA sweep, RA family, one task per FR point.
+
+        The FA and RA sweeps consume their child generators *across* the grid
+        (splitting them would change which reads each point draws), so each runs
+        as one shard; the FR oracle is seeded per grid point and shards freely.
+        Each shard's configuration normalises away the knobs its method never
+        reads (the RA-only ``intermediate_initial_quality``, the task-list-level
+        ``include_fr_oracle``, and for FR the grid), so toggling one method's
+        knob re-keys only that method's shards in the cache.
+        """
+        fa_config = dataclasses.replace(
+            config, include_fr_oracle=False, intermediate_initial_quality=None
+        )
+        ra_config = dataclasses.replace(config, include_fr_oracle=False)
+        tasks = [
+            ShardTask(key=("fig8", "fa"), fn=_figure8_fa_shard, kwargs={"config": fa_config}),
+            ShardTask(key=("fig8", "ra"), fn=_figure8_ra_shard, kwargs={"config": ra_config}),
+        ]
+        if config.include_fr_oracle:
+            fr_config = dataclasses.replace(
+                config, switch_values=None, intermediate_initial_quality=None
+            )
+            tasks.extend(
+                ShardTask(
+                    key=("fig8", "fr", float(switch_s)),
+                    fn=_figure8_fr_shard,
+                    kwargs={"config": fr_config, "switch_s": float(switch_s)},
+                )
+                for switch_s in config.grid()
+            )
+        return tasks
 
     def aggregate(
         self, config: Figure8Config, results: Sequence[List[Figure8Row]]
@@ -405,8 +400,9 @@ def run_figure8(
                 rows.extend(_fr_rows(config, instance, annealer, switch_s))
         return rows
 
-    _log.info("fig8.start", shards=len(figure8_tasks(config)), workers=workers or 1)
-    return run_driver(Figure8Driver(), config, workers=workers, cache=cache)
+    driver = Figure8Driver()
+    _log.info("fig8.start", shards=len(driver.tasks(config)), workers=workers or 1)
+    return run_driver(driver, config, workers=workers, cache=cache)
 
 
 def format_figure8_table(rows: Sequence[Figure8Row]) -> str:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro import telemetry
 from repro.exceptions import ConfigurationError
@@ -48,8 +48,6 @@ __all__ = [
     "LoadStudyDriver",
     "LoadStudyRow",
     "LoadStudyResult",
-    "collect_load_rows",
-    "load_study_tasks",
     "run_load_study",
     "format_load_study_table",
 ]
@@ -109,6 +107,13 @@ class LoadStudyConfig:
     policy: str = "edf"
     admission_control: bool = True
     base_seed: int = 0
+
+    def __post_init__(self) -> None:
+        if not self.load_factors:
+            raise ConfigurationError("load_factors must not be empty")
+        for factor in self.load_factors:
+            if factor <= 0:
+                raise ConfigurationError(f"load_factors must be positive, got {factor}")
 
     @classmethod
     def quick(cls) -> "LoadStudyConfig":
@@ -230,28 +235,6 @@ def _load_shard(
     return serialized, pipelined, pooled
 
 
-def load_study_tasks(config: LoadStudyConfig) -> List[ShardTask]:
-    """The sweep's shard list: one task per load factor.
-
-    Each task's configuration is restricted to its own load factor, so a
-    grid edit re-keys (and recomputes) only the touched points.
-    """
-    workload_seed = stable_seed("load-study", config.base_seed)
-    pipeline_seed = stable_seed("load-pipe", config.base_seed)
-    return [
-        ShardTask(
-            key=("load-study", float(load_factor)),
-            fn=_load_shard,
-            kwargs={
-                "config": dataclasses.replace(config, load_factors=(float(load_factor),)),
-                "workload_seed": workload_seed,
-                "pipeline_seed": pipeline_seed,
-            },
-        )
-        for load_factor in config.load_factors
-    ]
-
-
 class LoadStudyDriver(ExperimentDriver):
     """The offered-load sweep behind the shared experiment-driver protocol."""
 
@@ -259,11 +242,50 @@ class LoadStudyDriver(ExperimentDriver):
     metric_names = SERVE_METRICS
 
     def tasks(self, config: LoadStudyConfig) -> List[ShardTask]:
-        return load_study_tasks(config)
+        """One task per load factor.
 
-    def aggregate(self, config: LoadStudyConfig, results) -> "LoadStudyResult":
+        Each task's configuration is restricted to its own load factor, so a
+        grid edit re-keys (and recomputes) only the touched points.
+        """
+        workload_seed = stable_seed("load-study", config.base_seed)
+        pipeline_seed = stable_seed("load-pipe", config.base_seed)
+        return [
+            ShardTask(
+                key=("load-study", float(load_factor)),
+                fn=_load_shard,
+                kwargs={
+                    "config": dataclasses.replace(config, load_factors=(float(load_factor),)),
+                    "workload_seed": workload_seed,
+                    "pipeline_seed": pipeline_seed,
+                },
+            )
+            for load_factor in config.load_factors
+        ]
+
+    def aggregate(
+        self,
+        config: LoadStudyConfig,
+        results: Sequence[Tuple[ServingReport, PipelineReport, ServingReport]],
+    ) -> LoadStudyResult:
+        """Reassemble the rows from the per-load-factor shard triples."""
+        rows: List[LoadStudyRow] = []
+        for load_factor, (serialized, pipelined, pooled) in zip(config.load_factors, results):
+            rows.append(
+                LoadStudyRow(
+                    load_factor=load_factor,
+                    offered_load_jobs_per_ms=pooled.offered_load_jobs_per_ms,
+                    serialized_miss_rate=serialized.deadline_miss_rate or 0.0,
+                    pipelined_miss_rate=pipelined.deadline_miss_rate or 0.0,
+                    pooled_miss_rate=pooled.deadline_miss_rate or 0.0,
+                    serialized_p95_us=serialized.p95_latency_us,
+                    pipelined_p95_us=pipelined.p95_latency_us,
+                    pooled_p95_us=pooled.p95_latency_us,
+                    pooled_mean_batch=pooled.mean_batch_size,
+                    pooled_demotion_rate=pooled.demotion_rate,
+                )
+            )
         return LoadStudyResult(
-            rows=collect_load_rows(config, results),
+            rows=rows,
             detail=results[-1][2] if results else None,
             config=config,
         )
@@ -312,42 +334,8 @@ def run_load_study(
     bitwise-identical to the serial path at any worker count) and ``cache``
     reuses shard results across runs; see :mod:`repro.parallel`.
     """
-    if not config.load_factors:
-        raise ConfigurationError("load_factors must not be empty")
-    for factor in config.load_factors:
-        if factor <= 0:
-            raise ConfigurationError(f"load factors must be positive, got {factor}")
-
     _log.info("load_study.start", points=len(config.load_factors), workers=workers or 1)
     return run_driver(LoadStudyDriver(), config, workers=workers, cache=cache)
-
-
-def collect_load_rows(
-    config: LoadStudyConfig,
-    shards: Tuple[Tuple[ServingReport, PipelineReport, ServingReport], ...],
-) -> List[LoadStudyRow]:
-    """Reassemble the sweep's rows from the per-load-factor shard triples.
-
-    Shared by :func:`run_load_study` and the ablation-target binding, so the
-    declarative harness reports exactly the rows the imperative driver does.
-    """
-    rows: List[LoadStudyRow] = []
-    for load_factor, (serialized, pipelined, pooled) in zip(config.load_factors, shards):
-        rows.append(
-            LoadStudyRow(
-                load_factor=load_factor,
-                offered_load_jobs_per_ms=pooled.offered_load_jobs_per_ms,
-                serialized_miss_rate=serialized.deadline_miss_rate or 0.0,
-                pipelined_miss_rate=pipelined.deadline_miss_rate or 0.0,
-                pooled_miss_rate=pooled.deadline_miss_rate or 0.0,
-                serialized_p95_us=serialized.p95_latency_us,
-                pipelined_p95_us=pipelined.p95_latency_us,
-                pooled_p95_us=pooled.p95_latency_us,
-                pooled_mean_batch=pooled.mean_batch_size,
-                pooled_demotion_rate=pooled.demotion_rate,
-            )
-        )
-    return rows
 
 
 def format_load_study_table(result: LoadStudyResult) -> str:

@@ -74,7 +74,6 @@ __all__ = [
     "NetworkStudyDriver",
     "NetworkStudyRow",
     "NetworkStudyResult",
-    "network_study_tasks",
     "run_network_study",
     "format_network_table",
 ]
@@ -411,32 +410,6 @@ def _network_shard(
     )
 
 
-def network_study_tasks(config: NetworkStudyConfig) -> List[ShardTask]:
-    """The study's shard list: one task per placement arm.
-
-    Every arm shares the per-scenario workload seed (arms are paired on the
-    same counter matrix), and each task's configuration is restricted to its
-    own arm so cache fingerprints never depend on which *other* arms the
-    study sweeps.
-    """
-    workload_seed = stable_seed("network-study", config.scenario, config.base_seed)
-    tasks: List[ShardTask] = []
-    for placement in config.placements:
-        shard_config = dataclasses.replace(config, placements=(placement,))
-        tasks.append(
-            ShardTask(
-                key=("network-study", config.scenario, placement),
-                fn=_network_shard,
-                kwargs={
-                    "config": shard_config,
-                    "placement": placement,
-                    "workload_seed": workload_seed,
-                },
-            )
-        )
-    return tasks
-
-
 def _placement_row(rows, placement: str):
     for row in rows:
         if row.placement == placement:
@@ -451,7 +424,29 @@ class NetworkStudyDriver(ExperimentDriver):
     metric_names = NETWORK_METRICS
 
     def tasks(self, config: NetworkStudyConfig) -> List[ShardTask]:
-        return network_study_tasks(config)
+        """The study's shard list: one task per placement arm.
+
+        Every arm shares the per-scenario workload seed (arms are paired on the
+        same counter matrix), and each task's configuration is restricted to its
+        own arm so cache fingerprints never depend on which *other* arms the
+        study sweeps.
+        """
+        workload_seed = stable_seed("network-study", config.scenario, config.base_seed)
+        tasks: List[ShardTask] = []
+        for placement in config.placements:
+            shard_config = dataclasses.replace(config, placements=(placement,))
+            tasks.append(
+                ShardTask(
+                    key=("network-study", config.scenario, placement),
+                    fn=_network_shard,
+                    kwargs={
+                        "config": shard_config,
+                        "placement": placement,
+                        "workload_seed": workload_seed,
+                    },
+                )
+            )
+        return tasks
 
     def aggregate(
         self, config: NetworkStudyConfig, results: List[NetworkStudyRow]

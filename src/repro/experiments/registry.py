@@ -32,10 +32,19 @@ from repro.experiments import (
 )
 from repro.experiments.driver import ExperimentDriver
 
-__all__ = ["Study", "STUDIES"]
+__all__ = ["Study", "STUDIES", "config_presets"]
 
 #: Config fields ``--batch-size`` is applied to (detector chunking, serving batches).
 _BATCH_FIELDS = ("batch_size", "max_batch_size")
+
+
+def config_presets(config_class: type) -> Dict[str, Callable[[], Any]]:
+    """Config factories by scale: ``default`` plus ``quick``/``paper`` where defined."""
+    presets: Dict[str, Callable[[], Any]] = {"default": config_class}
+    for scale, factory in (("quick", "quick"), ("paper", "paper_scale")):
+        if hasattr(config_class, factory):
+            presets[scale] = getattr(config_class, factory)
+    return presets
 
 
 @dataclass(frozen=True)
@@ -60,12 +69,8 @@ class Study:
 
     @property
     def presets(self) -> Dict[str, Callable[[], Any]]:
-        """Config factories by scale: ``default`` plus ``quick``/``paper`` where defined."""
-        presets: Dict[str, Callable[[], Any]] = {"default": self.config_class}
-        for scale, factory in (("quick", "quick"), ("paper", "paper_scale")):
-            if hasattr(self.config_class, factory):
-                presets[scale] = getattr(self.config_class, factory)
-        return presets
+        """Config factories by scale (see :func:`config_presets`)."""
+        return config_presets(self.config_class)
 
     def make_config(self, scale: str = "default", batch_size: Optional[int] = None) -> Any:
         """The configuration for ``scale``, with ``batch_size`` applied.

@@ -53,7 +53,6 @@ __all__ = [
     "RobustnessStudyConfig",
     "RobustnessStudyDriver",
     "RobustnessRow",
-    "robustness_tasks",
     "run_robustness_study",
     "format_robustness_table",
 ]
@@ -313,39 +312,6 @@ def _robustness_point_shard(
     return _robustness_point(config, axis, float(grid[0]), annealer)
 
 
-def robustness_tasks(config: RobustnessStudyConfig) -> List[ShardTask]:
-    """The sweep's shard list: one task per (axis, value) grid point.
-
-    Each task's configuration keeps only its own point (every other axis
-    grid is emptied), so adding, removing or editing one grid point re-keys
-    only that point on a cached re-run — the selective-invalidation contract
-    the cache tests pin down.  The batch-size-invariant ``batch_size``
-    travels outside the fingerprint.
-    """
-    empty = {field: () for field in _AXIS_FIELDS.values()}
-    tasks: List[ShardTask] = []
-    for axis in ROBUSTNESS_AXES:
-        for value in _axis_grid(config, axis):
-            shard_config = dataclasses.replace(
-                config,
-                batch_size=None,
-                **{**empty, _AXIS_FIELDS[axis]: (float(value),)},
-            )
-            tasks.append(
-                ShardTask(
-                    key=("robustness", axis, float(value)),
-                    fn=_robustness_point_shard,
-                    kwargs={
-                        "config": shard_config,
-                        "axis": axis,
-                        "batch_size": config.batch_size,
-                    },
-                    fingerprint_exclude=("batch_size",),
-                )
-            )
-    return tasks
-
-
 class RobustnessStudyDriver(ExperimentDriver):
     """The impairment sweep behind the shared experiment-driver protocol."""
 
@@ -353,7 +319,36 @@ class RobustnessStudyDriver(ExperimentDriver):
     metric_names = ROBUSTNESS_METRICS
 
     def tasks(self, config: RobustnessStudyConfig) -> List[ShardTask]:
-        return robustness_tasks(config)
+        """The sweep's shard list: one task per (axis, value) grid point.
+
+        Each task's configuration keeps only its own point (every other axis
+        grid is emptied), so adding, removing or editing one grid point re-keys
+        only that point on a cached re-run — the selective-invalidation contract
+        the cache tests pin down.  The batch-size-invariant ``batch_size``
+        travels outside the fingerprint.
+        """
+        empty = {field: () for field in _AXIS_FIELDS.values()}
+        tasks: List[ShardTask] = []
+        for axis in ROBUSTNESS_AXES:
+            for value in _axis_grid(config, axis):
+                shard_config = dataclasses.replace(
+                    config,
+                    batch_size=None,
+                    **{**empty, _AXIS_FIELDS[axis]: (float(value),)},
+                )
+                tasks.append(
+                    ShardTask(
+                        key=("robustness", axis, float(value)),
+                        fn=_robustness_point_shard,
+                        kwargs={
+                            "config": shard_config,
+                            "axis": axis,
+                            "batch_size": config.batch_size,
+                        },
+                        fingerprint_exclude=("batch_size",),
+                    )
+                )
+        return tasks
 
     def aggregate(
         self, config: RobustnessStudyConfig, results: Sequence[RobustnessRow]
@@ -398,10 +393,9 @@ def run_robustness_study(
     bitwise-identical to the serial path at any worker count) and ``cache``
     reuses point results across runs; see :mod:`repro.parallel`.
     """
-    _log.info(
-        "robustness_study.start", points=len(robustness_tasks(config)), workers=workers or 1
-    )
-    return run_driver(RobustnessStudyDriver(), config, workers=workers, cache=cache)
+    driver = RobustnessStudyDriver()
+    _log.info("robustness_study.start", points=len(driver.tasks(config)), workers=workers or 1)
+    return run_driver(driver, config, workers=workers, cache=cache)
 
 
 _AXIS_LABELS = {

@@ -39,7 +39,6 @@ __all__ = [
     "SNRStudyConfig",
     "SNRStudyDriver",
     "SNRStudyRow",
-    "snr_study_tasks",
     "run_snr_study",
     "format_snr_table",
 ]
@@ -183,36 +182,32 @@ def _snr_point_shard(
     return _snr_point(config, float(config.snr_grid_db[0]), annealer)
 
 
-def snr_study_tasks(config: SNRStudyConfig) -> List[ShardTask]:
-    """The sweep's shard list: one task per SNR grid point.
-
-    Each task's configuration is restricted to its own point, so adding or
-    changing one grid point recomputes only that point on a cached re-run;
-    the batch-size-invariant ``batch_size`` travels outside the fingerprint.
-    """
-    return [
-        ShardTask(
-            key=("snr-study", float(snr_db)),
-            fn=_snr_point_shard,
-            kwargs={
-                "config": dataclasses.replace(
-                    config, snr_grid_db=(float(snr_db),), batch_size=None
-                ),
-                "batch_size": config.batch_size,
-            },
-            fingerprint_exclude=("batch_size",),
-        )
-        for snr_db in config.snr_grid_db
-    ]
-
-
 class SNRStudyDriver(ExperimentDriver):
     """The BER-vs-SNR sweep behind the shared experiment-driver protocol."""
 
     name = "snr"
 
     def tasks(self, config: SNRStudyConfig) -> List[ShardTask]:
-        return snr_study_tasks(config)
+        """The sweep's shard list: one task per SNR grid point.
+
+        Each task's configuration is restricted to its own point, so adding or
+        changing one grid point recomputes only that point on a cached re-run;
+        the batch-size-invariant ``batch_size`` travels outside the fingerprint.
+        """
+        return [
+            ShardTask(
+                key=("snr-study", float(snr_db)),
+                fn=_snr_point_shard,
+                kwargs={
+                    "config": dataclasses.replace(
+                        config, snr_grid_db=(float(snr_db),), batch_size=None
+                    ),
+                    "batch_size": config.batch_size,
+                },
+                fingerprint_exclude=("batch_size",),
+            )
+            for snr_db in config.snr_grid_db
+        ]
 
     def aggregate(
         self, config: SNRStudyConfig, results: Sequence[SNRStudyRow]

@@ -470,8 +470,9 @@ class TestRunStudy:
 
     def test_builtin_targets_are_registered(self):
         assert {"fig8", "robustness", "anneal-hpo"} <= set(available_targets())
-        target = get_target("anneal-hpo")
-        assert target.metric_names == (
+        driver, presets = get_target("anneal-hpo")
+        assert set(presets) == {"default", "quick"}
+        assert driver.metric_names == (
             "best_energy",
             "mean_energy",
             "compute_time_us_mean",

@@ -60,6 +60,5 @@ class TestLoadStudy:
 
     @pytest.mark.parametrize("load_factors", [(), (0.0,), (-1.0,)])
     def test_invalid_load_factors(self, load_factors):
-        config = dataclasses.replace(LoadStudyConfig.quick(), load_factors=load_factors)
-        with pytest.raises(ConfigurationError):
-            run_load_study(config)
+        with pytest.raises(ConfigurationError, match="load_factors"):
+            run_load_study(dataclasses.replace(LoadStudyConfig.quick(), load_factors=load_factors))

@@ -19,7 +19,7 @@ from repro.experiments import (
     format_network_table,
     run_network_study,
 )
-from repro.experiments.network_study import network_study_tasks
+from repro.experiments.network_study import NetworkStudyDriver
 from repro.network import (
     AggregationConfig,
     NetworkTopology,
@@ -115,11 +115,11 @@ class TestNetworkStudyDeterminism:
         config = NetworkStudyConfig.quick()
         first = [
             task_fingerprint(task.fn, task.kwargs, key=task.key)
-            for task in network_study_tasks(config)
+            for task in NetworkStudyDriver().tasks(config)
         ]
         second = [
             task_fingerprint(task.fn, task.kwargs, key=task.key)
-            for task in network_study_tasks(config)
+            for task in NetworkStudyDriver().tasks(config)
         ]
         assert first == second
         assert len(set(first)) == len(first)
@@ -127,7 +127,7 @@ class TestNetworkStudyDeterminism:
     def test_cached_rerun_is_all_hits_and_identical(self, tmp_path, quick_result):
         config = NetworkStudyConfig.quick()
         cache = ResultCache(tmp_path / "cache")
-        num_shards = len(network_study_tasks(config))
+        num_shards = len(NetworkStudyDriver().tasks(config))
 
         cold = run_network_study(config, cache=cache)
         assert cache.misses == num_shards and cache.hits == 0

@@ -15,6 +15,7 @@ from repro.experiments import (
     Figure8Config,
     LoadStudyConfig,
     ScenarioStudyConfig,
+    ScenarioStudyDriver,
     SNRStudyConfig,
     format_load_study_table,
     format_scenario_table,
@@ -23,7 +24,6 @@ from repro.experiments import (
     run_load_study,
     run_scenario_study,
     run_snr_study,
-    scenario_study_tasks,
 )
 from repro.parallel import ParallelRunner, ResultCache, ShardTask
 
@@ -64,7 +64,7 @@ class TestScenarioCacheCorrectness:
     def test_cached_rerun_is_byte_identical_and_all_hits(self, tmp_path):
         config = ScenarioStudyConfig.quick()
         cache = ResultCache(tmp_path / "cache")
-        num_shards = len(scenario_study_tasks(config))
+        num_shards = len(ScenarioStudyDriver().tasks(config))
 
         cold = run_scenario_study(config, cache=cache)
         assert cache.misses == num_shards and cache.hits == 0
@@ -79,7 +79,7 @@ class TestScenarioCacheCorrectness:
         config = ScenarioStudyConfig.quick()
         cache = ResultCache(tmp_path / "cache")
         runner = ParallelRunner(cache=cache)
-        tasks = scenario_study_tasks(config)
+        tasks = ScenarioStudyDriver().tasks(config)
         baseline = runner.run_sharded(tasks)
 
         # Re-seed one scenario arm's workload; every other shard must hit.

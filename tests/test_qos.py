@@ -390,9 +390,9 @@ class TestQoSStudy:
         from repro.experiments.qos_study import QOS_METRICS
 
         assert "qos" in available_targets()
-        target = get_target("qos")
-        assert target.metric_names == QOS_METRICS
-        assert set(target.presets) >= {"default", "quick", "paper"}
+        driver, presets = get_target("qos")
+        assert driver.metric_names == QOS_METRICS
+        assert set(presets) >= {"default", "quick", "paper"}
 
 
 # ---------------------------------------------------------------------- #
@@ -447,19 +447,17 @@ class TestExperimentDriver:
         driver = _ToyDriver()
         assert run_driver(driver, (5, 4, 3, 2)) == run_driver(driver, (5, 4, 3, 2), workers=2)
 
-    def test_from_driver_binds_rows_and_metrics(self):
-        from repro.ablation.registry import ExperimentTarget
+    def test_run_study_binds_driver_rows_and_metrics(self):
+        from repro.ablation import AblationSpec, get_target, run_study
+        from repro.parallel import ParallelRunner
 
-        target = ExperimentTarget.from_driver(
-            _ToyDriver(), presets={"quick": lambda: (1, 2)}, description="toy"
-        )
-        assert target.name == "toy"
-        assert target.metric_names == ("total",)
-        config = (1, 2)
-        shards = [task.fn(**task.kwargs) for task in target.tasks(config)]
-        rows = target.collect(config, shards)
-        assert rows == [1, 4]
-        assert target.metrics(rows) == (("total", 5.0),)
+        driver, presets = get_target("qos")
+        config = presets["quick"]()
+        shards = ParallelRunner().run_sharded(list(driver.tasks(config)))
+        rows = driver.rows(driver.aggregate(config, shards))
+        (point,) = run_study(AblationSpec(name="qos-bind", experiment="qos", preset="quick")).points
+        assert point.rows == tuple(rows)
+        assert point.metrics == tuple((name, float(value)) for name, value in driver.metrics(rows))
 
     def test_every_sweep_study_driver_subclasses_the_protocol(self):
         from repro.experiments.driver import ExperimentDriver

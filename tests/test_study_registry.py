@@ -2,11 +2,14 @@
 and the single-shard execution path of the studies computed whole."""
 
 import argparse
+import dataclasses
+import json
 
 import pytest
 
 import repro.cli as cli
-from repro.ablation import available_targets, get_target
+from repro.ablation import AblationSpec, available_targets, get_target, run_study
+from repro.exceptions import ConfigurationError
 from repro.experiments import (
     STUDIES,
     Figure3Config,
@@ -95,12 +98,12 @@ class TestRegistry:
         ],
     )
     def test_target_presets(self, name, default, quick, paper):
-        target = get_target(name)
-        assert set(target.presets) == {"default", "quick", "paper"}
-        assert target.make_config("default") == default
-        assert target.make_config("quick") == quick
-        assert target.make_config("paper") == paper
-        assert target.description == BY_NAME[name].summary
+        driver, presets = get_target(name)
+        assert driver is BY_NAME[name].driver
+        assert set(presets) == {"default", "quick", "paper"}
+        assert presets["default"]() == default
+        assert presets["quick"]() == quick
+        assert presets["paper"]() == paper
 
 
 class TestMakeConfig:
@@ -113,6 +116,37 @@ class TestMakeConfig:
         assert BY_NAME["qos"].make_config("quick", 2).max_batch_size == 2
         network = BY_NAME["network"]
         assert network.make_config("quick", 2) == NetworkStudyConfig.quick()
+
+
+#: Invalid quick configs: (study, field, value).  Each must fail the same way
+#: from every entry point, before any shard runs.
+INVALID_CONFIGS = [
+    ("serve", "load_factors", (0.0,)),
+    ("scenarios", "static_workers", 0),
+    ("scenarios", "scenarios", ()),
+    ("qos", "annealer_workers", 0),
+]
+
+
+@pytest.mark.parametrize("name, field, value", INVALID_CONFIGS)
+class TestValidationParity:
+    def test_run_entry_point(self, name, field, value):
+        study = BY_NAME[name]
+        with pytest.raises(ConfigurationError, match=field):
+            study.run(dataclasses.replace(study.make_config("quick"), **{field: value}))
+
+    def test_run_study(self, name, field, value):
+        spec = AblationSpec(name="invalid", experiment=name, preset="quick", base={field: value})
+        with pytest.raises(ConfigurationError, match=field):
+            run_study(spec)
+
+    def test_cli_ablate(self, name, field, value, tmp_path):
+        spec = {"name": "invalid", "experiment": name, "preset": "quick", "base": {field: value}}
+        path = tmp_path / "invalid.json"
+        path.write_text(json.dumps(spec), encoding="utf-8")
+        argv = ["ablate", "--spec", str(path), "--no-cache", "--output", str(tmp_path / "out")]
+        with pytest.raises(ConfigurationError, match=field):
+            cli.main(argv)
 
 
 #: The seven studies run as one shard, with their quick configurations.
