@@ -374,24 +374,43 @@ class NetworkScenario:
                         f"{type(phase).__name__} targets cell {cell}, outside the "
                         f"{self.num_cells}-cell grid"
                     )
+        # Thinning evaluates the field at every candidate arrival, so the
+        # horizon and each phase's ``(end - _EPS, start, phase)`` segment are
+        # summed once here rather than on every call.
+        segments = []
+        start = 0.0
+        for phase in self.phases:
+            segments.append((start + phase.duration_us - _EPS, start, phase))
+            start += phase.duration_us
+        object.__setattr__(self, "_segments", tuple(segments))
+        # ``sum`` rather than ``start``: from Python 3.12 ``sum`` compensates
+        # float rounding, so the two can differ in the last bit.
+        object.__setattr__(self, "_duration_us", sum(phase.duration_us for phase in self.phases))
 
     @property
     def duration_us(self) -> float:
         """Total simulated-time horizon covered by the phases."""
-        return sum(phase.duration_us for phase in self.phases)
+        return self._duration_us
 
     def phase_at(self, t_us: float) -> Tuple[LoadPhase, float]:
-        """The phase containing absolute time ``t_us`` and the local offset."""
-        if t_us < 0 or t_us >= self.duration_us:
+        """The phase containing absolute time ``t_us`` and the local offset.
+
+        An instant within ``_EPS`` of a phase boundary belongs to the later
+        phase; every instant past the last boundary belongs to the final
+        phase (by position — a timeline may reuse one phase object).
+        """
+        if t_us < 0 or t_us >= self._duration_us:
             raise ConfigurationError(
-                f"t_us {t_us} outside the scenario horizon [0, {self.duration_us})"
+                f"t_us {t_us} outside the scenario horizon [0, {self._duration_us})"
             )
-        start = 0.0
-        for phase in self.phases:
-            if t_us < start + phase.duration_us - _EPS or phase is self.phases[-1]:
+        return self._locate(t_us)
+
+    def _locate(self, t_us: float) -> Tuple[LoadPhase, float]:
+        for end, start, phase in self._segments:
+            if t_us < end:
                 return phase, t_us - start
-            start += phase.duration_us
-        raise AssertionError("unreachable")  # pragma: no cover
+        _, start, phase = self._segments[-1]
+        return phase, t_us - start
 
     def intensity(self, cell_id: int, t_us: float) -> float:
         """Intensity multiplier for ``cell_id`` at absolute time ``t_us``."""
@@ -399,9 +418,9 @@ class NetworkScenario:
             raise ConfigurationError(
                 f"cell_id {cell_id} outside the {self.num_cells}-cell grid"
             )
-        if t_us < 0 or t_us >= self.duration_us:
+        if t_us < 0 or t_us >= self._duration_us:
             return 0.0
-        phase, local = self.phase_at(t_us)
+        phase, local = self._locate(t_us)
         return phase.intensity(cell_id, self.num_cells, local)
 
     def peak_intensity(self) -> float:

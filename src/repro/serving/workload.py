@@ -31,8 +31,7 @@ from __future__ import annotations
 
 import bisect
 import dataclasses
-import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from repro.exceptions import ConfigurationError
@@ -143,6 +142,11 @@ class ServingJob:
     (user, cell), a globally arrival-ordered ``job_id``, the user's QoS
     class and — when handover is modelled — the cell the user started in
     (``cell_id`` is then the cell serving the job *at arrival time*).
+
+    ``arrival_us`` (arrival at the central plant), ``deadline_us`` (absolute
+    deadline, ``None`` for best-effort jobs), ``num_variables`` (QUBO size)
+    and ``modulation`` are read from ``channel_use`` once, at construction:
+    the simulator's admission scan reads them on every decision.
     """
 
     job_id: int
@@ -151,31 +155,22 @@ class ServingJob:
     channel_use: ChannelUse
     service_class: ServiceClass = DEFAULT_CLASS
     home_cell_id: Optional[int] = None
+    arrival_us: float = field(init=False, repr=False, compare=False)
+    deadline_us: Optional[float] = field(init=False, repr=False, compare=False)
+    num_variables: int = field(init=False, repr=False, compare=False)
+    modulation: str = field(init=False, repr=False, compare=False)
 
-    @property
-    def arrival_us(self) -> float:
-        """Arrival time at the central processing plant."""
-        return self.channel_use.arrival_time_us
-
-    @property
-    def deadline_us(self) -> Optional[float]:
-        """Absolute deadline, or ``None`` for best-effort jobs."""
-        return self.channel_use.deadline_us
+    def __post_init__(self) -> None:
+        use = self.channel_use
+        object.__setattr__(self, "arrival_us", use.arrival_time_us)
+        object.__setattr__(self, "deadline_us", use.deadline_us)
+        object.__setattr__(self, "num_variables", use.qubo_variable_count)
+        object.__setattr__(self, "modulation", use.modulation)
 
     @property
     def has_deadline(self) -> bool:
         """Whether the job carries a deadline."""
-        return self.channel_use.has_deadline
-
-    @functools.cached_property
-    def num_variables(self) -> int:
-        """QUBO size of the detection problem (derived once per job)."""
-        return self.channel_use.qubo_variable_count
-
-    @property
-    def modulation(self) -> str:
-        """Modulation of the underlying channel use."""
-        return self.channel_use.modulation
+        return self.deadline_us is not None
 
     @property
     def handed_over(self) -> bool:

@@ -10,14 +10,16 @@ This module provides:
 
 * :class:`MIMOConfig` — the static link configuration (users, antennas,
   modulation, channel model, noise);
-* :func:`simulate_transmission` — draw a channel, transmit random bits, and
-  produce a :class:`MIMOInstance` together with the ground-truth payload;
+* :func:`simulate_transmission` — draw a channel, random bits and noise, and
+  return a :class:`MIMOTransmission` that derives the :class:`MIMOInstance`
+  and the ground-truth symbols on first read;
 * :func:`maximum_likelihood_detect` — exact (exhaustive) ML detection used as
   ground truth by the experiments and metrics.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
@@ -29,7 +31,8 @@ from repro.utils.rng import RandomState, ensure_rng
 from repro.wireless.channel import (
     ChannelModel,
     UnitGainRandomPhaseChannel,
-    apply_channel,
+    awgn,
+    effective_noise_variance,
     noise_variance_for_snr,
 )
 from repro.wireless.fading import ChannelImpairments, FadingChannel, estimate_channel
@@ -174,30 +177,59 @@ class MIMOInstance:
 
 @dataclass(frozen=True)
 class MIMOTransmission:
-    """A simulated transmission: the instance plus the ground-truth payload.
+    """A simulated transmission: the receiver's view plus the ground truth.
 
-    Under imperfect CSI the receiver-visible ``instance.channel_matrix`` is
-    the *pilot estimate*; ``true_channel`` then records the realisation the
+    :func:`simulate_transmission` makes every random draw up front and
+    stores the draws: ``channel_matrix`` (the receiver-visible H),
+    ``transmitted_bits``, the ``noise`` vector (thermal noise plus
+    interference) and, under imperfect CSI, the estimation error already
+    folded into ``channel_matrix``.  What follows deterministically from the
+    draws — the modulated :attr:`transmitted_symbols`, ``y = H x + n`` and the
+    :class:`MIMOInstance` — is derived on first read and cached.  Readers
+    that need only :attr:`modulation` and :attr:`qubo_variable_count` (the
+    timing-only serving simulator) never build them.
+
+    Under imperfect CSI the receiver-visible ``channel_matrix`` is the
+    *pilot estimate*; ``true_channel`` then records the realisation the
     symbols actually propagated through (``None`` means the estimate is
     exact).  ``csi_error_variance`` and ``interference_power`` record the
     impairment levels the transmission was simulated under, so metrics can
     tell the paper's idealized protocol apart from robustness sweeps.
     """
 
-    instance: MIMOInstance
-    transmitted_symbols: np.ndarray
+    channel_matrix: np.ndarray
     transmitted_bits: np.ndarray
+    noise: np.ndarray
+    modulation: str
     noise_variance: float
     true_channel: Optional[np.ndarray] = None
     csi_error_variance: float = 0.0
     interference_power: float = 0.0
 
     @property
+    def qubo_variable_count(self) -> int:
+        """QUBO size of the detection problem: one variable per payload bit."""
+        return int(self.transmitted_bits.size)
+
+    @functools.cached_property
+    def transmitted_symbols(self) -> np.ndarray:
+        """The constellation points the payload bits modulate to."""
+        return get_modulation(self.modulation).modulate_bits(self.transmitted_bits)
+
+    @functools.cached_property
+    def instance(self) -> MIMOInstance:
+        """The receiver-visible detection problem (H estimate, y, modulation)."""
+        received = self.actual_channel @ self.transmitted_symbols + self.noise
+        return MIMOInstance(
+            channel_matrix=self.channel_matrix, received=received, modulation=self.modulation
+        )
+
+    @property
     def actual_channel(self) -> np.ndarray:
         """The channel the symbols really traversed (estimate if CSI is perfect)."""
         if self.true_channel is not None:
             return self.true_channel
-        return self.instance.channel_matrix
+        return self.channel_matrix
 
     @property
     def has_perfect_csi(self) -> bool:
@@ -208,8 +240,8 @@ class MIMOTransmission:
     def config_summary(self) -> str:
         """Short human-readable description of the transmission."""
         return (
-            f"{self.instance.num_users}-user {self.instance.modulation} "
-            f"({self.instance.qubo_variable_count} QUBO variables)"
+            f"{self.channel_matrix.shape[1]}-user {self.modulation} "
+            f"({self.qubo_variable_count} QUBO variables)"
         )
 
 
@@ -251,9 +283,11 @@ def simulate_transmission(
 ) -> MIMOTransmission:
     """Simulate one channel use under ``config``.
 
-    Draws a channel realisation, random payload bits, modulates them, applies
-    the channel and (optionally) AWGN, and returns both the receiver-visible
-    :class:`MIMOInstance` and the ground truth needed for error accounting.
+    Draws a channel realisation, random payload bits and (optionally) AWGN
+    and returns them as a :class:`MIMOTransmission`.  The draws happen now;
+    the modulated symbols, the received vector ``y = H x + n`` and the
+    receiver-visible :class:`MIMOInstance` are derived from them on first
+    read, so a caller that only needs the problem size never pays for them.
 
     ``impairments`` layers the realistic-channel engine on top
     (:mod:`repro.wireless.fading`): spatial correlation / Rician LoS shape
@@ -295,15 +329,12 @@ def simulate_transmission(
         channel = model.sample(config.receive_antennas, config.num_users, generator)
 
     bits = modulation.random_bits(config.num_users, generator)
-    symbols = modulation.modulate_bits(bits)
     noise_variance = config.noise_variance
     interference_power = impairments.interference_power if active else 0.0
-    received = apply_channel(
-        channel,
-        symbols,
-        noise_variance,
+    noise = awgn(
+        channel.shape[0],
+        effective_noise_variance(noise_variance, interference_power),
         generator,
-        interference_power=interference_power,
     )
 
     csi_error_variance = impairments.csi_error_variance if active else 0.0
@@ -314,13 +345,11 @@ def simulate_transmission(
         visible = channel
         true_channel = None
 
-    instance = MIMOInstance(
-        channel_matrix=visible, received=received, modulation=config.modulation
-    )
     return MIMOTransmission(
-        instance=instance,
-        transmitted_symbols=symbols,
+        channel_matrix=visible,
         transmitted_bits=bits,
+        noise=noise,
+        modulation=config.modulation,
         noise_variance=noise_variance,
         true_channel=true_channel,
         csi_error_variance=csi_error_variance,

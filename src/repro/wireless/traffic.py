@@ -49,7 +49,8 @@ class ChannelUse:
     arrival_time_us:
         Arrival time at the baseband processor, in microseconds.
     transmission:
-        The simulated transmission (instance + ground truth payload).
+        The simulated transmission (random draws now, detection instance and
+        ground-truth symbols derived on first read).
     deadline_us:
         Absolute processing deadline (arrival + turnaround budget), or
         ``None`` when no deadline applies.  When present it must lie strictly
@@ -77,12 +78,12 @@ class ChannelUse:
     @property
     def qubo_variable_count(self) -> int:
         """QUBO size of this channel use's detection problem."""
-        return self.transmission.instance.qubo_variable_count
+        return self.transmission.qubo_variable_count
 
     @property
     def modulation(self) -> str:
         """Modulation name of this channel use."""
-        return self.transmission.instance.modulation
+        return self.transmission.modulation
 
 
 class TrafficGenerator:

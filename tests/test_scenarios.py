@@ -7,8 +7,12 @@ cells get denser, outage cells go silent), and the elastic pool + controller
 scale within bounds, honour warm-up, and never lose a job.
 """
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import ConfigurationError
 from repro.serving import (
@@ -30,6 +34,7 @@ from repro.serving import (
     generate_serving_jobs,
     uniform_cell_profiles,
 )
+from repro.serving.scenarios import _EPS
 from repro.wireless.mimo import MIMOConfig
 from repro.wireless.traffic import TrafficGenerator
 
@@ -173,6 +178,85 @@ class TestNetworkScenario:
                 num_cells=4,
                 phases=(CellOutagePhase(1000.0, cell_id=4),),
             )
+
+
+def _spec_phase_at(scenario, t_us):
+    """Executable spec: the per-call phase lookup, final phase by position."""
+    duration = sum(phase.duration_us for phase in scenario.phases)
+    if t_us < 0 or t_us >= duration:
+        raise ConfigurationError(f"t_us {t_us} outside [0, {duration})")
+    start = 0.0
+    last = len(scenario.phases) - 1
+    for position, phase in enumerate(scenario.phases):
+        if t_us < start + phase.duration_us - _EPS or position == last:
+            return phase, t_us - start
+        start += phase.duration_us
+    raise AssertionError("unreachable")
+
+
+def _spec_intensity(scenario, cell_id, t_us):
+    if t_us < 0 or t_us >= sum(phase.duration_us for phase in scenario.phases):
+        return 0.0
+    phase, local = _spec_phase_at(scenario, t_us)
+    return phase.intensity(cell_id, scenario.num_cells, local)
+
+
+@st.composite
+def _phase_timelines(draw):
+    """Random timelines over a small phase pool; one object may recur anywhere."""
+    durations = st.sampled_from([1e-6, 0.1, 1.0, 3.0, 71.4, 1000.0, 5000.0])
+    pool = [
+        ConstantPhase(draw(durations), level=draw(st.sampled_from([0.0, 0.5, 1.0, 2.5])))
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    pool.append(FlashCrowdPhase(draw(durations), cell_id=draw(st.integers(0, 2))))
+    pool.append(DiurnalPhase(draw(durations), cell_lag_fraction=0.5))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=6))
+    return NetworkScenario(name="random", num_cells=3, phases=tuple(pool[index] for index in picks))
+
+
+class TestPhaseLookup:
+    def test_reused_phase_object_does_not_swallow_later_phases(self):
+        calm = ConstantPhase(5000.0)
+        scenario = NetworkScenario(
+            name="calm-flash-calm",
+            num_cells=2,
+            phases=(calm, FlashCrowdPhase(10000.0, cell_id=1, peak=6.0), calm),
+        )
+        assert scenario.intensity(1, 10000.0) == 6.0
+        assert scenario.phase_at(10000.0) == (scenario.phases[1], 5000.0)
+        assert scenario.phase_at(2000.0) == (calm, 2000.0)
+        assert scenario.phase_at(17000.0) == (calm, 2000.0)
+
+    @staticmethod
+    def _probe_times(scenario, fraction):
+        duration = scenario.duration_us
+        times = [0.0, -_EPS, duration, math.nextafter(duration, 0.0), duration - _EPS]
+        times.append(fraction * duration)
+        start = 0.0
+        for phase in scenario.phases:
+            end = start + phase.duration_us
+            times += [start, end - _EPS, end + _EPS, end - 2 * _EPS]
+            times += [math.nextafter(end - _EPS, -math.inf), math.nextafter(end - _EPS, math.inf)]
+            start = end
+        return times
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(scenario=_phase_timelines(), fraction=st.floats(0.0, 1.0, exclude_max=True))
+    def test_lookup_matches_the_per_call_spec(self, scenario, fraction):
+        for t_us in self._probe_times(scenario, fraction):
+            try:
+                expected = _spec_phase_at(scenario, t_us)
+            except ConfigurationError:
+                with pytest.raises(ConfigurationError):
+                    scenario.phase_at(t_us)
+            else:
+                phase, local = scenario.phase_at(t_us)
+                assert phase is expected[0]
+                assert local == expected[1]
+            for cell in range(scenario.num_cells):
+                assert scenario.intensity(cell, t_us) == _spec_intensity(scenario, cell, t_us)
+        assert scenario.duration_us == sum(phase.duration_us for phase in scenario.phases)
 
 
 # ---------------------------------------------------------------------- #
