@@ -3,8 +3,8 @@
 Figure 2 sketches staged classical/quantum processing of successive channel
 uses.  The benchmark runs the same channel-use stream through the pipeline
 simulator in pipelined and serialised form and checks that pipelining never
-hurts and strictly helps throughput once the stream is long enough to keep
-both stages busy.
+hurts, and never gains more than two overlapping stages can: with stage
+times t_c and t_q the throughput gain is at most (t_c + t_q) / max(t_c, t_q).
 """
 
 from conftest import run_once
@@ -26,6 +26,11 @@ def test_pipeline_throughput(benchmark, report_writer):
 
     # Pipelining can only help: throughput at least as high, latency no worse.
     assert result.throughput_gain >= 1.0 - 1e-9
+    # ... and by no more than overlapping the two stages allows (every
+    # channel use has the same size, so the stage times are the same for all).
+    first = result.pipelined.jobs[0]
+    t_c, t_q = first.classical.service_us, first.quantum.service_us
+    assert result.throughput_gain <= (t_c + t_q) / max(t_c, t_q) + 1e-9
     assert result.latency_ratio <= 1.0 + 1e-9
     # Both stages actually carry load in the pipelined run.
     assert result.pipelined.classical_utilization > 0.0

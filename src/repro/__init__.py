@@ -13,8 +13,8 @@ Classical-Quantum Computation Structures in Wirelessly-Networked Systems*
 * a software quantum-annealer simulator with forward / reverse /
   forward-reverse schedules, Chimera embedding and a device model —
   :mod:`repro.annealing`;
-* the paper's hybrid GS + reverse-annealing solver, parameter sweeps and the
-  Figure-2 pipeline simulator — :mod:`repro.hybrid`;
+* the paper's hybrid GS + reverse-annealing solver and parameter sweeps —
+  :mod:`repro.hybrid`;
 * the deadline-aware RAN serving subsystem (multi-user workloads, EDF/FIFO
   scheduling, heterogeneous backend pool, load studies) — :mod:`repro.serving`;
 * the paper's metrics (ΔE%, success probability, TTS) — :mod:`repro.metrics`;

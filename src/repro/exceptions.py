@@ -54,4 +54,4 @@ class TransformError(ReproError):
 
 
 class PipelineError(ReproError):
-    """The classical-quantum pipeline simulator was misconfigured."""
+    """The Figure-2 classical-quantum pipeline simulation received invalid input."""

@@ -54,6 +54,9 @@ from repro.experiments.headline import (
     format_headline_report,
 )
 from repro.experiments.pipeline_study import (
+    PipelineJobResult,
+    PipelineReport,
+    simulate_pipeline,
     PipelineStudyConfig,
     PipelineStudyResult,
     run_pipeline_study,
@@ -159,6 +162,9 @@ __all__ = [
     "HeadlineResult",
     "run_headline",
     "format_headline_report",
+    "PipelineJobResult",
+    "PipelineReport",
+    "simulate_pipeline",
     "PipelineStudyConfig",
     "PipelineStudyResult",
     "run_pipeline_study",

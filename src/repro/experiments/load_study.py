@@ -9,8 +9,9 @@ served by three architectures —
 * **serialized** — one annealer worker, one job at a time (the single-server
   baseline every comparison starts from);
 * **pipelined** — the Figure-2 two-stage pipeline
-  (:class:`repro.hybrid.HybridPipelineSimulator`), which overlaps classical
-  and quantum stages but still serves one job per stage at a time;
+  (:func:`~repro.experiments.pipeline_study.simulate_pipeline`), which
+  overlaps classical and quantum stages but still serves one job per stage
+  at a time;
 * **pooled** — the serving subsystem (:class:`repro.serving.RANServingSimulator`):
   K batched annealer workers, deadline-aware scheduling, compatible-job
   coalescing and classical-fallback admission control.
@@ -29,7 +30,7 @@ from typing import List, Optional, Sequence, Tuple
 from repro import telemetry
 from repro.exceptions import ConfigurationError
 from repro.experiments.driver import ExperimentDriver, mean_or_nan, run_driver
-from repro.hybrid.pipeline import HybridPipelineSimulator, PipelineReport
+from repro.experiments.pipeline_study import PipelineReport, simulate_pipeline
 from repro.parallel import ResultCache, ShardTask
 from repro.serving.backends import AnnealerServingBackend, ClassicalServingBackend
 from repro.serving.pool import BackendPool
@@ -205,8 +206,9 @@ def _load_shard(
     load_factor = config.load_factors[0]
     jobs = _workload(config, load_factor, workload_seed)
 
+    serial_backend = _annealer_backend(config, lanes=1)
     serialized = RANServingSimulator(
-        pool=BackendPool([_annealer_backend(config, lanes=1)]),
+        pool=BackendPool([serial_backend]),
         policy="fifo",
         max_batch_size=1,
         admission_control=False,
@@ -218,11 +220,9 @@ def _load_shard(
         dataclasses.replace(job.channel_use, index=position)
         for position, job in enumerate(jobs)
     ]
-    pipelined = HybridPipelineSimulator(
-        switch_s=config.switch_s,
-        num_reads=config.num_reads,
-        evaluate_solutions=False,
-    ).run(channel_uses, pipelined=True, rng=pipeline_seed)
+    pipelined = simulate_pipeline(
+        channel_uses, serial_backend, rng=pipeline_seed, evaluate_solutions=False
+    )
 
     pooled_backends = [_annealer_backend(config, lanes=config.lanes)] * config.annealer_workers
     pooled_backends += [ClassicalServingBackend()] * config.classical_workers

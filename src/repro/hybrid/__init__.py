@@ -5,8 +5,11 @@
   classical initialisers (greedy search, linear detectors, sphere decoders).
 * :mod:`repro.hybrid.parameters` — sweeps and selection of the schedule
   parameters s_p / c_p the paper identifies as Design Challenge 2.
-* :mod:`repro.hybrid.pipeline` — the staged classical/quantum pipeline over
-  successive channel uses sketched in paper Figure 2 (Design Challenge 3).
+
+:class:`HybridQuboSolver` is the one place the initialise -> reverse-anneal ->
+best-of-both step lives: the MIMO detector, the serving annealer backend and
+the Figure-2 pipeline (:func:`repro.experiments.pipeline_study.simulate_pipeline`,
+Design Challenge 3) all solve through it.
 """
 
 from repro.hybrid.solver import (
@@ -22,12 +25,6 @@ from repro.hybrid.parameters import (
     best_switch_point,
     sweep_forward_reverse_turning_point,
 )
-from repro.hybrid.pipeline import (
-    StageTiming,
-    PipelineJobResult,
-    PipelineReport,
-    HybridPipelineSimulator,
-)
 
 __all__ = [
     "HybridSolverResult",
@@ -39,8 +36,4 @@ __all__ = [
     "sweep_switch_point_batch",
     "best_switch_point",
     "sweep_forward_reverse_turning_point",
-    "StageTiming",
-    "PipelineJobResult",
-    "PipelineReport",
-    "HybridPipelineSimulator",
 ]

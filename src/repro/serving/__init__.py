@@ -4,7 +4,7 @@ The packages below turn the repo's single-stream pipeline into a multi-user
 serving plant:
 
 * :mod:`repro.serving.events` — discrete-event primitives (FIFO servers and
-  a deterministic event queue) shared with the Figure-2 pipeline simulator;
+  a deterministic event queue) shared with the Figure-2 pipeline;
 * :mod:`repro.serving.qos` — multi-service QoS classes (urllc / embb /
   best-effort) with per-class deadlines, priorities and degradation
   ladders (see ``docs/qos.md``);

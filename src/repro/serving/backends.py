@@ -17,13 +17,10 @@ serving simulator:
 The annealer backend models multi-instance tiling: the device processes up to
 ``lanes`` same-shape instances side by side per anneal shot sequence, which is
 where batching buys throughput (the batched `run_batch` kernels are the
-software counterpart).  The classical backend is a sequential software solver
-whose service time is linear in the submitted problem volume.
-
-Layering note: this module composes samplers and classical solvers directly
-and must **not** import :mod:`repro.hybrid` — the hybrid pipeline simulator
-imports :mod:`repro.serving.events`, so a serving→hybrid import would create
-a cycle.
+software counterpart).  Its solution path is the paper's hybrid solve,
+:meth:`repro.hybrid.HybridQuboSolver.solve_batch`.  The classical backend is a
+sequential software solver whose service time is linear in the submitted
+problem volume.
 """
 
 from __future__ import annotations
@@ -36,11 +33,10 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.annealing.sampler import QuantumAnnealerSimulator
-from repro.annealing.schedule import reverse_anneal_schedule
 from repro.classical.base import QuboSolver
-from repro.classical.greedy import GreedySearchSolver
 from repro.classical.simulated_annealing import SimulatedAnnealingSolver
 from repro.exceptions import ConfigurationError
+from repro.hybrid.solver import HybridQuboSolver
 from repro.transform.mimo_to_qubo import is_optimum, mimo_to_qubo
 from repro.serving.workload import ServingJob
 
@@ -106,14 +102,12 @@ class AnnealerServingBackend(ServingBackend):
 
     Parameters
     ----------
-    sampler:
-        Annealer simulator executing the reads (shared between workers is
-        fine: all randomness flows through per-job child generators).
-    initializer:
-        Classical initialiser that seeds each reverse anneal (the paper's
-        Greedy Search by default).
-    switch_s / pause_duration_us / num_reads:
-        Reverse-annealing programme.
+    sampler, initializer, switch_s, pause_duration_us, num_reads:
+        The reverse-annealing programme, held (and validated) by the
+        :class:`~repro.hybrid.HybridQuboSolver` in :attr:`hybrid`.  The
+        initializer (the paper's Greedy Search by default) seeds each reverse
+        anneal; a sampler shared between workers is fine, since all
+        randomness flows through per-job child generators.
     lanes:
         Multi-instance tiling capacity: how many same-shape instances the
         device processes side by side per shot sequence.  A batch of ``B``
@@ -144,10 +138,13 @@ class AnnealerServingBackend(ServingBackend):
         init_time_per_variable_us: float = 0.01,
         name: str = "annealer",
     ) -> None:
-        if not 0.0 < switch_s < 1.0:
-            raise ConfigurationError(f"switch_s must lie strictly inside (0, 1), got {switch_s}")
-        if num_reads <= 0:
-            raise ConfigurationError(f"num_reads must be positive, got {num_reads}")
+        self.hybrid = HybridQuboSolver(
+            classical_solver=initializer,
+            sampler=sampler,
+            switch_s=switch_s,
+            pause_duration_us=pause_duration_us,
+            num_reads=num_reads,
+        )
         if lanes <= 0:
             raise ConfigurationError(f"lanes must be positive, got {lanes}")
         if programming_overhead_us < 0:
@@ -158,11 +155,6 @@ class AnnealerServingBackend(ServingBackend):
             raise ConfigurationError(
                 f"init_time_per_variable_us must be non-negative, got {init_time_per_variable_us}"
             )
-        self.sampler = sampler if sampler is not None else QuantumAnnealerSimulator()
-        self.initializer = initializer if initializer is not None else GreedySearchSolver()
-        self.schedule = reverse_anneal_schedule(switch_s, pause_duration_us)
-        self.switch_s = float(switch_s)
-        self.num_reads = int(num_reads)
         self.lanes = int(lanes)
         self.programming_overhead_us = float(programming_overhead_us)
         self.include_qpu_overheads = bool(include_qpu_overheads)
@@ -170,13 +162,19 @@ class AnnealerServingBackend(ServingBackend):
         self.name = name
 
     @property
+    def initializer(self) -> QuboSolver:
+        """Classical initialiser that seeds each reverse anneal."""
+        return self.hybrid.classical_solver
+
+    @property
     def shot_time_us(self) -> float:
         """Wall-clock of one full read sequence (all ``num_reads`` anneals)."""
-        per_read = self.schedule.duration_us
+        hybrid = self.hybrid
+        per_read = hybrid.schedule.duration_us
         if self.include_qpu_overheads:
-            device = self.sampler.device
+            device = hybrid.sampler.device
             per_read += device.readout_time_us + device.inter_sample_delay_us
-        return per_read * self.num_reads
+        return per_read * hybrid.num_reads
 
     def service_time_us(self, jobs: Sequence[ServingJob]) -> float:
         """Batch service time: programming + init + tiled shot sequences."""
@@ -192,21 +190,11 @@ class AnnealerServingBackend(ServingBackend):
         """Initialise and reverse-anneal the batch through the batched kernels."""
         encodings = [mimo_to_qubo(job.channel_use.transmission.instance) for job in jobs]
         qubos = [encoding.qubo for encoding in encodings]
-        initials = self.initializer.solve_batch(qubos, list(children))
-        samplesets = self.sampler.sample_qubo_batch(
-            qubos,
-            self.schedule,
-            num_reads=self.num_reads,
-            initial_states=[initial.assignment for initial in initials],
-            rng=list(children),
-        )
-        solutions = []
-        for job, encoding, initial, sampleset in zip(jobs, encodings, initials, samplesets):
-            best_energy = initial.energy
-            if len(sampleset):
-                best_energy = min(best_energy, sampleset.lowest_energy())
-            solutions.append(_solution(job, encoding, best_energy))
-        return solutions
+        results = self.hybrid.solve_batch(qubos, list(children))
+        return [
+            _solution(job, encoding, result.best_energy)
+            for job, encoding, result in zip(jobs, encodings, results)
+        ]
 
 
 class ClassicalServingBackend(ServingBackend):

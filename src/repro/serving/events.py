@@ -1,12 +1,12 @@
-"""Discrete-event primitives shared by the serving and pipeline simulators.
+"""Discrete-event primitives shared by the serving simulator and the Figure-2 pipeline.
 
-Both simulators in this library model processing resources as FIFO servers:
-a job that becomes ready at time ``t`` on a server that frees up at time
-``f`` starts at ``max(t, f)`` and occupies the server for its service time.
-:class:`FifoServer` packages that advance rule (plus busy-time accounting for
-utilisation reports) so the Figure-2 pipeline simulator and the RAN serving
-simulator share one implementation instead of each re-deriving the
-``start = max(arrival, free_at)`` arithmetic.
+Both model processing resources as FIFO servers: a job that becomes ready at
+time ``t`` on a server that frees up at time ``f`` starts at ``max(t, f)``
+and occupies the server for its service time.  :class:`FifoServer` packages
+that advance rule (plus busy-time accounting for utilisation reports) so the
+Figure-2 pipeline (:func:`repro.experiments.pipeline_study.simulate_pipeline`)
+and the RAN serving simulator share one implementation instead of each
+re-deriving the ``start = max(arrival, free_at)`` arithmetic.
 
 :class:`EventQueue` is a deterministic time-ordered event heap for
 simulations whose control flow is event-driven rather than trace-ordered

@@ -21,7 +21,6 @@ from repro.classical.simulated_annealing import SimulatedAnnealingSolver
 from repro.classical.tabu import TabuSearchSolver
 from repro.exceptions import ConfigurationError
 from repro.hybrid.parameters import sweep_switch_point, sweep_switch_point_batch
-from repro.hybrid.pipeline import HybridPipelineSimulator
 from repro.hybrid.solver import HybridQuboSolver
 from repro.qubo.generators import planted_solution_qubo
 from repro.qubo.ising import bits_to_spins, qubo_to_ising
@@ -409,6 +408,8 @@ class TestHybridBatch:
                 assert left.histogram == right.histogram
 
     def test_pipeline_batch_size_does_not_change_solutions(self):
+        from repro.experiments.pipeline_study import simulate_pipeline
+        from repro.serving.backends import AnnealerServingBackend
         from repro.wireless.mimo import MIMOConfig
         from repro.wireless.traffic import TrafficGenerator
 
@@ -420,10 +421,10 @@ class TestHybridBatch:
             sampler = QuantumAnnealerSimulator(
                 backend=ScheduleDrivenAnnealingBackend(sweeps_per_microsecond=8), seed=0
             )
-            simulator = HybridPipelineSimulator(
-                sampler=sampler, num_reads=6, batch_size=batch_size
+            backend = AnnealerServingBackend(sampler=sampler, num_reads=6)
+            return simulate_pipeline(
+                channel_uses, backend, pipelined=True, rng=1, batch_size=batch_size
             )
-            return simulator.run(channel_uses, pipelined=True, rng=1)
 
         whole = run(None)
         per_job = run(1)

@@ -8,6 +8,7 @@ from repro.classical.zero_forcing import ZeroForcingDetector
 from repro.exceptions import ConfigurationError
 from repro.hybrid.solver import DetectorInitializer, HybridMIMODetector, HybridQuboSolver
 from repro.qubo.generators import planted_solution_qubo
+from repro.serving.backends import AnnealerServingBackend
 
 
 @pytest.fixture
@@ -134,3 +135,19 @@ class TestHybridMIMODetector:
         detector = HybridMIMODetector(initializer=42, sampler=fast_sampler)
         with pytest.raises(ConfigurationError):
             detector.detect(transmission.instance, rng=10)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"switch_s": 0.0}, {"switch_s": 1.5}, {"pause_duration_us": -1.0}, {"num_reads": 0}],
+)
+@pytest.mark.parametrize(
+    "owner",
+    [HybridQuboSolver, HybridMIMODetector, AnnealerServingBackend],
+    ids=lambda owner: owner.__name__,
+)
+def test_invalid_annealer_settings_rejected_at_construction(owner, kwargs):
+    # Every holder of a reverse-annealing programme validates it the same way,
+    # up front, rather than failing (with a different error) on first use.
+    with pytest.raises(ConfigurationError):
+        owner(**kwargs)
