@@ -17,12 +17,16 @@ stack is drawn in ``docs/architecture.md``):
   kernels (vectorized / reference / numba, selected by the
   ``REPRO_KERNEL`` environment variable) shared by both backends and the
   classical SA solver.
+* :mod:`repro.annealing.backend` — the backend base class: the one batched
+  run path (validation, padding, sweep settings) that every backend's kernel
+  step plugs into; a single run is a batch of one.
 * :mod:`repro.annealing.svmc` — a schedule-aware spin-vector Monte Carlo
   backend (the default physics surrogate).
 * :mod:`repro.annealing.sa_backend` — a schedule-driven simulated annealing
   backend (a faster, cruder surrogate).
 * :mod:`repro.annealing.sampler` — the :class:`QuantumAnnealerSimulator`
-  front-end that ties schedules, device model and backends together.
+  front-end that ties schedules, device model and backends together; its
+  single-instance ``sample_*`` methods are the batched ones with one instance.
 """
 
 from repro.annealing.schedule import (

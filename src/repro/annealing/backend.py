@@ -14,6 +14,12 @@ backends ship with the library:
 Both capture the mechanism the paper's experiments rely on: at s = 1 the state
 is frozen, at s = 0 it is randomised, and at intermediate s the device
 performs a local stochastic search around its current state.
+
+There is one execution path.  :meth:`AnnealingBackend.run_batch` validates and
+pads the batch, resolves initial states and computes the per-sweep
+``(problem, transverse, temperature, activity)`` settings once for every
+backend; a backend implements only ``_anneal``, the kernel step on the padded
+arrays.  :meth:`AnnealingBackend.run` is ``run_batch`` with one instance.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ import numpy as np
 from repro.annealing.device import AnnealingFunctions
 from repro.annealing.schedule import AnnealSchedule
 from repro.exceptions import ConfigurationError
-from repro.utils.rng import BatchRandomState, ensure_rng_batch
+from repro.utils.rng import BatchRandomState, RandomState, ensure_rng, ensure_rng_batch
 
 __all__ = ["AnnealingBackend", "broadcast_initial_spins", "pad_problem_batch"]
 
@@ -100,12 +106,54 @@ def pad_problem_batch(
 
 
 class AnnealingBackend(abc.ABC):
-    """Executes anneal schedules on normalised Ising problems."""
+    """Executes anneal schedules on normalised Ising problems.
+
+    Subclasses implement only :meth:`_anneal`; see the module docstring.
+
+    Parameters
+    ----------
+    sweeps_per_microsecond:
+        Number of full sweeps executed per microsecond of schedule time; it
+        controls how thoroughly the system equilibrates at each point of the
+        schedule.
+    freeze_scale:
+        Transverse-field scale (relative to B(1)) below which the single-spin
+        dynamics freeze out.  Physical annealers relax only while quantum
+        fluctuations are appreciable; once A(s) drops well below the problem
+        scale the state is essentially read-only.  Each spin update is
+        attempted with probability ``min(1, A(s)/B(1)/freeze_scale)`` (floored
+        at ``residual_activity``), which reproduces the hardware behaviour the
+        paper's Figure 6 depends on: a reverse anneal from a *random* state
+        cannot be rescued by the final ramp, so its samples stay poor.
+    residual_activity:
+        Floor on the attempt probability, modelling the weak residual thermal
+        relaxation near s = 1.
+    """
 
     #: Backend label recorded in sample-set metadata.
     name: str = "backend"
 
-    @abc.abstractmethod
+    #: Weight of the transverse scale A(s)/B(1) in the per-sweep temperature
+    #: ``relative_temperature + fluctuation_gain * A(s)/B(1)``.
+    fluctuation_gain: float = 0.0
+
+    def __init__(
+        self, sweeps_per_microsecond: float, freeze_scale: float, residual_activity: float
+    ) -> None:
+        if sweeps_per_microsecond <= 0:
+            raise ConfigurationError(
+                f"sweeps_per_microsecond must be positive, got {sweeps_per_microsecond}"
+            )
+        if freeze_scale <= 0:
+            raise ConfigurationError(f"freeze_scale must be positive, got {freeze_scale}")
+        if not 0.0 <= residual_activity <= 1.0:
+            raise ConfigurationError(
+                f"residual_activity must lie in [0, 1], got {residual_activity}"
+            )
+        self.sweeps_per_microsecond = float(sweeps_per_microsecond)
+        self.freeze_scale = float(freeze_scale)
+        self.residual_activity = float(residual_activity)
+
     def run(
         self,
         fields: np.ndarray,
@@ -115,34 +163,25 @@ class AnnealingBackend(abc.ABC):
         annealing_functions: AnnealingFunctions,
         relative_temperature: float,
         initial_spins: Optional[np.ndarray] = None,
-        rng: Optional[np.random.Generator] = None,
+        rng: RandomState = None,
     ) -> np.ndarray:
-        """Run ``num_reads`` independent anneals and return final spins.
+        """Run ``num_reads`` independent anneals of one problem.
 
-        Parameters
-        ----------
-        fields, couplings:
-            Normalised Ising coefficients (couplings strictly upper
-            triangular).
-        schedule:
-            The anneal schedule to follow.
-        num_reads:
-            Number of independent anneals.
-        annealing_functions:
-            The device's A(s)/B(s) energy scales.
-        relative_temperature:
-            Operating temperature normalised by B(1).
-        initial_spins:
-            Required when the schedule starts at s = 1 (reverse annealing);
-            either one vector shared by all reads or a per-read matrix.
-        rng:
-            Random generator (required to be a Generator, not a seed).
-
-        Returns
-        -------
-        numpy.ndarray
-            Array of shape (num_reads, num_spins) with entries +/-1.
+        A batch of one through :meth:`run_batch` (see there for the
+        arguments), so the ``(num_reads, num_spins)`` array of +/-1 spins is
+        bitwise-identical to the corresponding lane of any batched run seeded
+        with the same generator.  ``rng`` may be a seed or a generator.
         """
+        return self.run_batch(
+            [fields],
+            [couplings],
+            schedule,
+            num_reads,
+            annealing_functions,
+            relative_temperature,
+            initial_spins=None if initial_spins is None else [initial_spins],
+            rng=[ensure_rng(rng)],
+        )[0]
 
     def run_batch(
         self,
@@ -159,24 +198,32 @@ class AnnealingBackend(abc.ABC):
 
         The batch shares a schedule, device functions and temperature; each
         instance keeps its own size, coefficients and (optional) initial
-        state.  Instance ``b`` draws exclusively from per-instance child
-        generator ``b`` (see :func:`repro.utils.rng.ensure_rng_batch`), so the
-        result list is bitwise-identical to calling :meth:`run` once per
-        instance with those children — regardless of how instances are grouped
-        into batches.
-
-        This default implementation is exactly that sequential loop.  Backends
-        with a vectorised multi-instance kernel override it; the contract
-        (per-instance child streams, identical results) must be preserved.
+        state.  All instances advance through the schedule as one
+        replica-parallel array computation (see
+        :mod:`repro.annealing.kernels`), padded to a common size with zero
+        fields/couplings and a validity mask.  Instance ``b`` draws
+        exclusively from per-instance child generator ``b`` (see
+        :func:`repro.utils.rng.ensure_rng_batch`), so results do not depend
+        on how instances are grouped into batches.  The sweep implementation
+        is selected by the ``REPRO_KERNEL`` environment variable.
 
         Parameters
         ----------
         fields, couplings:
-            Per-instance normalised Ising coefficients; instances may have
-            different sizes (they are padded internally by batched kernels).
+            Per-instance normalised Ising coefficients (couplings strictly
+            upper triangular); instances may have different sizes.
+        schedule:
+            The anneal schedule to follow.
+        num_reads:
+            Number of independent anneals per instance.
+        annealing_functions:
+            The device's A(s)/B(s) energy scales.
+        relative_temperature:
+            Operating temperature normalised by B(1).
         initial_spins:
-            Optional per-instance initial states (``None`` entries allowed for
-            forward schedules).
+            Optional per-instance initial states, each one vector shared by
+            all reads or a per-read matrix; required (for every non-empty
+            instance) when the schedule starts at s = 1 (reverse annealing).
         rng:
             A root seed (spawned into one child per instance) or an explicit
             sequence of per-instance generators.
@@ -186,24 +233,73 @@ class AnnealingBackend(abc.ABC):
         list of numpy.ndarray
             One ``(num_reads, num_spins_b)`` array of +/-1 spins per instance.
         """
+        if num_reads <= 0:
+            raise ConfigurationError(f"num_reads must be positive, got {num_reads}")
         batch = len(fields)
         if initial_spins is not None and len(initial_spins) != batch:
             raise ConfigurationError(
                 f"{len(initial_spins)} initial states supplied for a batch of {batch}"
             )
+        if batch == 0:
+            return []
         children = ensure_rng_batch(rng, batch)
-        results: List[np.ndarray] = []
+        padded_fields, symmetric, mask, sizes = pad_problem_batch(fields, couplings)
+
+        initials: List[Optional[np.ndarray]] = []
         for index in range(batch):
-            results.append(
-                self.run(
-                    fields=fields[index],
-                    couplings=couplings[index],
-                    schedule=schedule,
-                    num_reads=num_reads,
-                    annealing_functions=annealing_functions,
-                    relative_temperature=relative_temperature,
-                    initial_spins=None if initial_spins is None else initial_spins[index],
-                    rng=children[index],
+            supplied = None if initial_spins is None else initial_spins[index]
+            initial = broadcast_initial_spins(supplied, num_reads, int(sizes[index]))
+            if schedule.requires_initial_state and initial is None and sizes[index] > 0:
+                raise ConfigurationError(
+                    f"schedule {schedule.name!r} starts at s = 1 and requires an "
+                    f"initial state (missing for instance {index})"
                 )
-            )
-        return results
+            initials.append(initial)
+
+        if padded_fields.shape[1] == 0:
+            return [np.zeros((num_reads, 0), dtype=np.int8) for _ in range(batch)]
+        settings = self._sweep_settings(schedule, annealing_functions, relative_temperature)
+        return self._anneal(
+            padded_fields, symmetric, mask, sizes, initials, num_reads, children, settings
+        )
+
+    def _sweep_settings(
+        self,
+        schedule: AnnealSchedule,
+        annealing_functions: AnnealingFunctions,
+        relative_temperature: float,
+    ) -> List[tuple]:
+        """Per-sweep ``(problem, transverse, temperature, activity)`` scalars."""
+        base_temperature = max(relative_temperature, 1e-6)
+        num_steps = max(2, int(round(schedule.duration_us * self.sweeps_per_microsecond)))
+        settings = []
+        for _, s in schedule.discretise(num_steps):
+            problem = annealing_functions.relative_problem(float(s))
+            transverse = annealing_functions.relative_transverse(float(s))
+            temperature = base_temperature + self.fluctuation_gain * transverse
+            # Freeze-out: spin updates only happen while quantum fluctuations
+            # remain appreciable relative to the problem scale.
+            activity = max(min(1.0, transverse / self.freeze_scale), self.residual_activity)
+            settings.append((problem, transverse, temperature, activity))
+        return settings
+
+    @abc.abstractmethod
+    def _anneal(
+        self,
+        fields: np.ndarray,
+        symmetric: np.ndarray,
+        mask: np.ndarray,
+        sizes: np.ndarray,
+        initials: Sequence[Optional[np.ndarray]],
+        num_reads: int,
+        children: Sequence[np.random.Generator],
+        settings: List[tuple],
+    ) -> List[np.ndarray]:
+        """Anneal a padded, validated batch and return per-instance spins.
+
+        ``fields``, ``symmetric``, ``mask`` and ``sizes`` come from
+        :func:`pad_problem_batch` (with at least one real spin overall);
+        ``initials[b]`` is ``None`` or a ``(num_reads, sizes[b])`` +/-1
+        matrix; ``settings`` holds one :meth:`_sweep_settings` row per sweep.
+        Returns one ``(num_reads, sizes[b])`` int8 array of +/-1 per instance.
+        """

@@ -17,6 +17,7 @@ The paper's three solver flavours map onto the convenience methods
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -94,37 +95,17 @@ class QuantumAnnealerSimulator:
         """Sample a QUBO along an anneal schedule.
 
         ``initial_state`` is a 0/1 assignment and is required whenever the
-        schedule starts from a classical state (reverse annealing).
+        schedule starts from a classical state (reverse annealing).  A batch
+        of one through :meth:`sample_qubo_batch`; without ``rng`` the
+        simulator's private stream is used directly.
         """
-        ising = qubo_to_ising(qubo)
-        initial_spins = None
-        if initial_state is not None:
-            initial_spins = bits_to_spins(np.asarray(initial_state, dtype=int))
-        sampleset = self.sample_ising(ising, schedule, num_reads, initial_spins, rng)
-        return self._requbo_sampleset(qubo, sampleset)
-
-    @staticmethod
-    def _requbo_sampleset(qubo: QUBOModel, sampleset: SampleSet) -> SampleSet:
-        # Re-evaluate energies under the QUBO so offsets/conventions match the
-        # caller's model exactly (the conversion is exact, but recomputing
-        # avoids accumulating floating-point drift through two conversions).
-        assignments = np.array([record.assignment for record in sampleset.records])
-        occurrences = sampleset.occurrences()
-        energies = qubo.energies(assignments) if len(sampleset) else np.empty(0)
-        from repro.annealing.sampleset import SampleRecord
-
-        records = [
-            SampleRecord(
-                assignment=assignment,
-                energy=float(energy),
-                num_occurrences=int(count),
-                chain_break_fraction=record.chain_break_fraction,
-            )
-            for assignment, energy, count, record in zip(
-                assignments, energies, occurrences, sampleset.records
-            )
-        ]
-        return SampleSet(records, metadata=sampleset.metadata)
+        return self.sample_qubo_batch(
+            [qubo],
+            schedule,
+            num_reads,
+            None if initial_state is None else [initial_state],
+            rng=[ensure_rng(rng) if rng is not None else self._rng],
+        )[0]
 
     def sample_ising(
         self,
@@ -134,24 +115,14 @@ class QuantumAnnealerSimulator:
         initial_spins: Optional[np.ndarray] = None,
         rng: RandomState = None,
     ) -> SampleSet:
-        """Sample an Ising model along an anneal schedule."""
-        if num_reads <= 0:
-            raise ConfigurationError(f"num_reads must be positive, got {num_reads}")
-        generator = ensure_rng(rng) if rng is not None else self._rng
-
-        if schedule.requires_initial_state and initial_spins is None:
-            raise ConfigurationError(
-                f"schedule {schedule.name!r} starts from a classical state; "
-                "supply initial_state/initial_spins"
-            )
-
-        if self.use_embedding and ising.num_spins > 1:
-            sampleset = self._sample_embedded(ising, schedule, num_reads, initial_spins, generator)
-        else:
-            sampleset = self._sample_logical(ising, schedule, num_reads, initial_spins, generator)
-
-        sampleset.metadata.update(self._metadata(schedule, num_reads))
-        return sampleset
+        """Sample an Ising model along an anneal schedule (a batch of one)."""
+        return self.sample_ising_batch(
+            [ising],
+            schedule,
+            num_reads,
+            None if initial_spins is None else [initial_spins],
+            rng=[ensure_rng(rng) if rng is not None else self._rng],
+        )[0]
 
     # ------------------------------------------------------------------ #
     # Batched multi-instance entry points
@@ -169,26 +140,17 @@ class QuantumAnnealerSimulator:
 
         Instances may have different sizes; each draws from its own child
         generator (``rng`` is a root seed or an explicit per-instance
-        generator sequence), so the returned sample sets are bitwise-identical
-        to calling :meth:`sample_qubo` once per instance with those children —
-        regardless of batch composition.
+        generator sequence), so the returned sample sets do not depend on
+        batch composition.  Energies are evaluated on the caller's QUBOs.
         """
-        if initial_states is not None and len(initial_states) != len(qubos):
-            raise ConfigurationError(
-                f"{len(initial_states)} initial states supplied for a batch of {len(qubos)}"
-            )
-        isings = [qubo_to_ising(qubo) for qubo in qubos]
         initial_spins: Optional[List[Optional[np.ndarray]]] = None
         if initial_states is not None:
             initial_spins = [
                 None if state is None else bits_to_spins(np.asarray(state, dtype=int))
                 for state in initial_states
             ]
-        samplesets = self.sample_ising_batch(isings, schedule, num_reads, initial_spins, rng)
-        return [
-            self._requbo_sampleset(qubo, sampleset)
-            for qubo, sampleset in zip(qubos, samplesets)
-        ]
+        isings = [qubo_to_ising(qubo) for qubo in qubos]
+        return self._sample_batch(isings, schedule, num_reads, initial_spins, rng, qubos)
 
     def sample_ising_batch(
         self,
@@ -202,65 +164,9 @@ class QuantumAnnealerSimulator:
 
         The whole batch is handed to the backend's vectorised
         :meth:`~repro.annealing.backend.AnnealingBackend.run_batch` kernel in
-        a single call (embedded sampling falls back to a per-instance loop).
+        a single call (embedded sampling runs per instance).
         """
-        if num_reads <= 0:
-            raise ConfigurationError(f"num_reads must be positive, got {num_reads}")
-        if initial_spins is not None and len(initial_spins) != len(isings):
-            raise ConfigurationError(
-                f"{len(initial_spins)} initial states supplied for a batch of {len(isings)}"
-            )
-        batch = len(isings)
-        children = ensure_rng_batch(rng if rng is not None else self._rng, batch)
-
-        for index, ising in enumerate(isings):
-            supplied = None if initial_spins is None else initial_spins[index]
-            if schedule.requires_initial_state and supplied is None:
-                raise ConfigurationError(
-                    f"schedule {schedule.name!r} starts from a classical state; "
-                    f"supply initial_state/initial_spins (missing for instance {index})"
-                )
-
-        if self.use_embedding:
-            return [
-                self.sample_ising(
-                    ising,
-                    schedule,
-                    num_reads,
-                    None if initial_spins is None else initial_spins[index],
-                    children[index],
-                )
-                for index, ising in enumerate(isings)
-            ]
-
-        fields_list = []
-        couplings_list = []
-        kernel_children = []
-        for index, ising in enumerate(isings):
-            fields, couplings, _ = self._normalise(ising, children[index])
-            fields_list.append(fields)
-            couplings_list.append(couplings)
-            # Mirrors the single-instance path (normalise, then spawn the
-            # kernel child) so batch-of-one stays bitwise-identical to single.
-            kernel_children.append(self._kernel_rng(children[index]))
-        spins_list = self.backend.run_batch(
-            fields=fields_list,
-            couplings=couplings_list,
-            schedule=schedule,
-            num_reads=num_reads,
-            annealing_functions=self.device.annealing,
-            relative_temperature=self.device.relative_temperature,
-            initial_spins=initial_spins,
-            rng=kernel_children,
-        )
-        samplesets = []
-        for ising, spins in zip(isings, spins_list):
-            bits = ((spins + 1) // 2).astype(np.int8)
-            energies = ising.energies(spins)
-            sampleset = SampleSet.from_arrays(bits, energies, metadata={"embedded": False})
-            sampleset.metadata.update(self._metadata(schedule, num_reads))
-            samplesets.append(sampleset)
-        return samplesets
+        return self._sample_batch(isings, schedule, num_reads, initial_spins, rng)
 
     def forward_anneal_batch(
         self,
@@ -338,12 +244,74 @@ class QuantumAnnealerSimulator:
     # Internals
     # ------------------------------------------------------------------ #
 
+    def _sample_batch(
+        self,
+        isings: Sequence[IsingModel],
+        schedule: AnnealSchedule,
+        num_reads: int,
+        initial_spins: Optional[Sequence[Optional[np.ndarray]]],
+        rng: BatchRandomState,
+        qubos: Optional[Sequence[QUBOModel]] = None,
+    ) -> List[SampleSet]:
+        """The one sampling path: energies come from ``qubos`` when given."""
+        if num_reads <= 0:
+            raise ConfigurationError(f"num_reads must be positive, got {num_reads}")
+        if initial_spins is not None and len(initial_spins) != len(isings):
+            raise ConfigurationError(
+                f"{len(initial_spins)} initial states supplied for a batch of {len(isings)}"
+            )
+        children = ensure_rng_batch(rng if rng is not None else self._rng, len(isings))
+        states = list(initial_spins) if initial_spins is not None else [None] * len(isings)
+        for index, state in enumerate(states):
+            if schedule.requires_initial_state and state is None:
+                raise ConfigurationError(
+                    f"schedule {schedule.name!r} starts from a classical state; "
+                    f"supply initial_state/initial_spins (missing for instance {index})"
+                )
+
+        samplesets: List[Optional[SampleSet]] = [None] * len(isings)
+        logical = []
+        for index, ising in enumerate(isings):
+            if not (self.use_embedding and ising.num_spins > 1):
+                logical.append(index)
+                continue
+            sampleset = self._sample_embedded(
+                ising, schedule, num_reads, states[index], children[index]
+            )
+            if qubos is not None:
+                sampleset = self._requbo_sampleset(qubos[index], sampleset)
+            samplesets[index] = sampleset
+
+        # Control noise draws from each instance's child; the kernel draws
+        # from a child spawned off it (see _kernel_rng).
+        noisy = [self._normalise(isings[index], children[index]) for index in logical]
+        spins_list = self.backend.run_batch(
+            fields=[fields for fields, _ in noisy],
+            couplings=[couplings for _, couplings in noisy],
+            schedule=schedule,
+            num_reads=num_reads,
+            annealing_functions=self.device.annealing,
+            relative_temperature=self.device.relative_temperature,
+            initial_spins=[states[index] for index in logical],
+            rng=[self._kernel_rng(children[index]) for index in logical],
+        )
+        for index, spins in zip(logical, spins_list):
+            bits = ((spins + 1) // 2).astype(np.int8)
+            if qubos is not None:
+                energies = qubos[index].energies(bits)
+            else:
+                energies = isings[index].energies(spins)
+            samplesets[index] = SampleSet.from_arrays(bits, energies, metadata={"embedded": False})
+
+        for sampleset in samplesets:
+            sampleset.metadata.update(self._metadata(schedule, num_reads))
+        return samplesets
+
     def _normalise(self, ising: IsingModel, generator: np.random.Generator):
         scale = self.device.normalisation_scale(ising)
-        fields = ising.fields / scale
-        couplings = ising.couplings / scale
-        fields, couplings = self.device.apply_control_noise(fields, couplings, generator)
-        return fields, couplings, scale
+        return self.device.apply_control_noise(
+            ising.fields / scale, ising.couplings / scale, generator
+        )
 
     @staticmethod
     def _kernel_rng(generator: np.random.Generator) -> np.random.Generator:
@@ -357,29 +325,6 @@ class QuantumAnnealerSimulator:
         """
         return spawn_rngs(generator, 1)[0]
 
-    def _sample_logical(
-        self,
-        ising: IsingModel,
-        schedule: AnnealSchedule,
-        num_reads: int,
-        initial_spins: Optional[np.ndarray],
-        generator: np.random.Generator,
-    ) -> SampleSet:
-        fields, couplings, _ = self._normalise(ising, generator)
-        spins = self.backend.run(
-            fields=fields,
-            couplings=couplings,
-            schedule=schedule,
-            num_reads=num_reads,
-            annealing_functions=self.device.annealing,
-            relative_temperature=self.device.relative_temperature,
-            initial_spins=initial_spins,
-            rng=self._kernel_rng(generator),
-        )
-        bits = ((spins + 1) // 2).astype(np.int8)
-        energies = ising.energies(spins)
-        return SampleSet.from_arrays(bits, energies, metadata={"embedded": False})
-
     def _sample_embedded(
         self,
         ising: IsingModel,
@@ -389,7 +334,7 @@ class QuantumAnnealerSimulator:
         generator: np.random.Generator,
     ) -> SampleSet:
         embedding = find_clique_embedding(ising.num_spins, self.lattice_size)
-        fields, couplings, _ = self._normalise(ising, generator)
+        fields, couplings = self._normalise(ising, generator)
         logical = IsingModel(fields=fields, couplings=couplings)
         physical_fields, physical_couplings, chain_strength = embed_ising(logical, embedding)
 
@@ -409,6 +354,10 @@ class QuantumAnnealerSimulator:
             if initial_spins.ndim != 1:
                 raise ConfigurationError(
                     "embedded sampling supports a single shared initial state"
+                )
+            if initial_spins.size != ising.num_spins:
+                raise ConfigurationError(
+                    f"initial state has {initial_spins.size} spins, expected {ising.num_spins}"
                 )
             physical_initial = np.zeros(len(used_qubits), dtype=np.int8)
             for logical_index, chain in enumerate(embedding.chains):
@@ -445,6 +394,20 @@ class QuantumAnnealerSimulator:
         sampleset.metadata["chain_strength"] = chain_strength
         sampleset.metadata["max_chain_length"] = embedding.max_chain_length
         return sampleset
+
+    @staticmethod
+    def _requbo_sampleset(qubo: QUBOModel, sampleset: SampleSet) -> SampleSet:
+        """Re-evaluate an embedded sample set's energies on the caller's QUBO.
+
+        Unembedding scores reads on the logical Ising model; the caller's
+        units are the QUBO's, so every distinct record is re-scored once.
+        """
+        records = sampleset.records
+        energies = qubo.energies(np.array([record.assignment for record in records]))
+        return SampleSet(
+            [replace(record, energy=float(energy)) for record, energy in zip(records, energies)],
+            metadata=sampleset.metadata,
+        )
 
     def _metadata(self, schedule: AnnealSchedule, num_reads: int) -> Dict:
         return {

@@ -23,28 +23,21 @@ SVMC is the higher-fidelity of the two device surrogates and the default
 backend of :class:`repro.annealing.QuantumAnnealerSimulator`.  It models the
 transverse-field mechanism behind the paper's Figure 5 schedules and the
 Figure 6/8 reverse-annealing band structure (success over a window of
-``s_p``, collapse on both sides).  Like the schedule-driven backend it
-implements the batched engine contract: both entry points advance through
-the replica-parallel rotor kernels of :mod:`repro.annealing.kernels` — one
-array program over ``(batch, spins, reads)`` per sweep — with per-instance
-child generators so batched and sequential results are bitwise-identical
-and independent of batch grouping.  The ``REPRO_KERNEL`` environment
-variable selects the kernel implementation (vectorized / reference /
-numba); see ``docs/kernels.md``.
+``s_p``, collapse on both sides).  The class supplies only the rotor step
+(initial angles, :func:`repro.annealing.kernels.svmc_sweeps`, projection);
+the batch prologue, the per-sweep settings and the batch-of-one :meth:`run`
+are :class:`~repro.annealing.backend.AnnealingBackend`'s.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from repro.annealing import kernels
-from repro.annealing.backend import AnnealingBackend, broadcast_initial_spins, pad_problem_batch
-from repro.annealing.device import AnnealingFunctions
-from repro.annealing.schedule import AnnealSchedule
+from repro.annealing.backend import AnnealingBackend
 from repro.exceptions import ConfigurationError
-from repro.utils.rng import BatchRandomState, ensure_rng, ensure_rng_batch
 
 __all__ = ["SpinVectorMonteCarloBackend"]
 
@@ -54,28 +47,14 @@ class SpinVectorMonteCarloBackend(AnnealingBackend):
 
     Parameters
     ----------
-    sweeps_per_microsecond:
-        Number of full Metropolis sweeps executed per microsecond of schedule
-        time; it controls how thoroughly the rotor system equilibrates at each
-        point of the schedule.
+    sweeps_per_microsecond, freeze_scale, residual_activity:
+        Sweep density and freeze-out model; see :class:`AnnealingBackend`.
     proposal_width:
         Standard deviation (radians) of the Gaussian angle proposals; a full
         uniform re-draw is mixed in with probability ``uniform_fraction``.
     uniform_fraction:
         Probability of proposing an entirely new uniform angle instead of a
         local Gaussian perturbation (helps escape frozen rotors).
-    freeze_scale:
-        Transverse-field scale (relative to B(1)) below which the single-spin
-        dynamics freeze out.  Physical annealers relax only while quantum
-        fluctuations are appreciable; once A(s) drops well below the problem
-        scale the state is essentially read-only.  Each spin update is
-        attempted with probability ``min(1, A(s)/B(1)/freeze_scale)`` (floored
-        at ``residual_activity``), which reproduces the hardware behaviour the
-        paper's Figure 6 depends on: a reverse anneal from a *random* state
-        cannot be rescued by the final ramp, so its samples stay poor.
-    residual_activity:
-        Floor on the attempt probability, modelling the weak residual thermal
-        relaxation near s = 1.
     """
 
     name = "spin-vector-monte-carlo"
@@ -88,129 +67,19 @@ class SpinVectorMonteCarloBackend(AnnealingBackend):
         freeze_scale: float = 0.15,
         residual_activity: float = 0.02,
     ) -> None:
-        if sweeps_per_microsecond <= 0:
-            raise ConfigurationError(
-                f"sweeps_per_microsecond must be positive, got {sweeps_per_microsecond}"
-            )
+        super().__init__(sweeps_per_microsecond, freeze_scale, residual_activity)
         if proposal_width <= 0:
             raise ConfigurationError(f"proposal_width must be positive, got {proposal_width}")
         if not 0.0 <= uniform_fraction <= 1.0:
             raise ConfigurationError(
                 f"uniform_fraction must lie in [0, 1], got {uniform_fraction}"
             )
-        if freeze_scale <= 0:
-            raise ConfigurationError(f"freeze_scale must be positive, got {freeze_scale}")
-        if not 0.0 <= residual_activity <= 1.0:
-            raise ConfigurationError(
-                f"residual_activity must lie in [0, 1], got {residual_activity}"
-            )
-        self.sweeps_per_microsecond = float(sweeps_per_microsecond)
         self.proposal_width = float(proposal_width)
         self.uniform_fraction = float(uniform_fraction)
-        self.freeze_scale = float(freeze_scale)
-        self.residual_activity = float(residual_activity)
 
-    # ------------------------------------------------------------------ #
-
-    def run(
-        self,
-        fields: np.ndarray,
-        couplings: np.ndarray,
-        schedule: AnnealSchedule,
-        num_reads: int,
-        annealing_functions: AnnealingFunctions,
-        relative_temperature: float,
-        initial_spins: Optional[np.ndarray] = None,
-        rng: Optional[np.random.Generator] = None,
-    ) -> np.ndarray:
-        """Run the SVMC dynamics along the schedule; see the backend interface.
-
-        Implemented as a batch of one: the same rotor kernel serves both entry
-        points, so a single run is bitwise-identical to the corresponding lane
-        of any batched run seeded with the same generator.
-        """
-        generator = ensure_rng(rng)
-        return self.run_batch(
-            [np.asarray(fields, dtype=float).ravel()],
-            [np.asarray(couplings, dtype=float)],
-            schedule,
-            num_reads,
-            annealing_functions,
-            relative_temperature,
-            initial_spins=None if initial_spins is None else [initial_spins],
-            rng=[generator],
-        )[0]
-
-    def _sweep_settings(
-        self,
-        schedule: AnnealSchedule,
-        annealing_functions: AnnealingFunctions,
-        relative_temperature: float,
-    ) -> List[tuple]:
-        """Per-sweep ``(problem, transverse, temperature, activity)`` scalars."""
-        temperature = max(relative_temperature, 1e-6)
-        num_steps = max(2, int(round(schedule.duration_us * self.sweeps_per_microsecond)))
-        settings = []
-        for _, s in schedule.discretise(num_steps):
-            problem = annealing_functions.relative_problem(float(s))
-            transverse = annealing_functions.relative_transverse(float(s))
-            # Freeze-out: spin updates only happen while quantum fluctuations
-            # remain appreciable relative to the problem scale.
-            activity = max(min(1.0, transverse / self.freeze_scale), self.residual_activity)
-            settings.append((problem, transverse, temperature, activity))
-        return settings
-
-    def run_batch(
-        self,
-        fields: Sequence[np.ndarray],
-        couplings: Sequence[np.ndarray],
-        schedule: AnnealSchedule,
-        num_reads: int,
-        annealing_functions: AnnealingFunctions,
-        relative_temperature: float,
-        initial_spins: Optional[Sequence[Optional[np.ndarray]]] = None,
-        rng: BatchRandomState = None,
-    ) -> List[np.ndarray]:
-        """Vectorised multi-instance SVMC kernel; see the backend interface.
-
-        All B rotor systems evolve through the shared schedule as one
-        replica-parallel array computation (see
-        :mod:`repro.annealing.kernels`), padded to a common size, with
-        instance ``b`` drawing exclusively from child generator ``b`` — so
-        results are independent of how a workload is grouped into batches.
-        The sweep implementation is selected by the ``REPRO_KERNEL``
-        environment variable.
-        """
-        if num_reads <= 0:
-            raise ConfigurationError(f"num_reads must be positive, got {num_reads}")
-        batch = len(fields)
-        if initial_spins is not None and len(initial_spins) != batch:
-            raise ConfigurationError(
-                f"{len(initial_spins)} initial states supplied for a batch of {batch}"
-            )
-        if batch == 0:
-            return []
-        children = ensure_rng_batch(rng, batch)
-        padded_fields, symmetric, mask, sizes = pad_problem_batch(fields, couplings)
-        max_size = padded_fields.shape[1]
-
-        initials: List[Optional[np.ndarray]] = []
-        for index in range(batch):
-            supplied = None if initial_spins is None else initial_spins[index]
-            initial = broadcast_initial_spins(supplied, num_reads, int(sizes[index]))
-            if schedule.requires_initial_state and initial is None and sizes[index] > 0:
-                raise ConfigurationError(
-                    f"schedule {schedule.name!r} starts at s = 1 and requires an "
-                    f"initial state (missing for instance {index})"
-                )
-            initials.append(initial)
-
-        if max_size == 0:
-            return [np.zeros((num_reads, 0), dtype=np.int8) for _ in range(batch)]
-
-        settings = self._sweep_settings(schedule, annealing_functions, relative_temperature)
-        kernel = kernels.active_kernel_name()
-
+    def _anneal(self, fields, symmetric, mask, sizes, initials, num_reads, children, settings):
+        """Evolve the padded rotor batch along the schedule and project to spins."""
+        batch, max_size = fields.shape
         # Replica-parallel kernels use the spin-major (batch, spins, reads)
         # layout.  Padding rotors sit at theta = 0 (cos 1, sin 0) with zero
         # couplings: they cannot influence real spins and the kernel's mask
@@ -223,10 +92,9 @@ class SpinVectorMonteCarloBackend(AnnealingBackend):
             theta[index, :size] = self._initial_angles(
                 initials[index], num_reads, size, children[index]
             ).T
-        # Padding rotors at theta = 0 land exactly on cos 1 / sin 0.
         cosines = np.cos(theta)
         sines = np.sin(theta)
-        local = kernels.initial_local_fields(padded_fields, symmetric, cosines)
+        local = kernels.initial_local_fields(fields, symmetric, cosines)
         kernels.svmc_sweeps(
             theta,
             cosines,
@@ -237,7 +105,7 @@ class SpinVectorMonteCarloBackend(AnnealingBackend):
             sizes,
             children,
             settings,
-            implementation=kernel,
+            implementation=kernels.active_kernel_name(),
             proposal_width=self.proposal_width,
             uniform_fraction=self.uniform_fraction,
         )

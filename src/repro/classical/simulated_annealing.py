@@ -25,6 +25,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.annealing import kernels
+from repro.annealing.backend import pad_problem_batch
 from repro.classical.base import QuboSolution, QuboSolver
 from repro.exceptions import ConfigurationError
 from repro.qubo.ising import qubo_to_ising
@@ -132,19 +133,15 @@ class SimulatedAnnealingSolver(QuboSolver):
         # Ising-space replica state, one read per instance: spins (B, N, 1)
         # with trailing padding lanes frozen at +1 by the kernel mask.
         state = np.ones((batch, max_size, 1))
-        padded_fields = np.zeros((batch, max_size))
-        symmetric = np.zeros((batch, max_size, max_size))
-        mask = np.zeros((batch, max_size), dtype=bool)
-        for index, qubo in enumerate(qubos):
+        for index in range(batch):
             n = int(sizes[index])
-            if n == 0:
-                continue
-            bits = self._initial_bits(n, children[index])
-            state[index, :n, 0] = bits.astype(float) * 2.0 - 1.0
-            ising = qubo_to_ising(qubo)
-            padded_fields[index, :n] = ising.fields
-            symmetric[index, :n, :n] = ising.couplings + ising.couplings.T
-            mask[index, :n] = True
+            if n > 0:
+                bits = self._initial_bits(n, children[index])
+                state[index, :n, 0] = bits.astype(float) * 2.0 - 1.0
+        isings = [qubo_to_ising(qubo) for qubo in qubos]
+        padded_fields, symmetric, mask, _ = pad_problem_batch(
+            [ising.fields for ising in isings], [ising.couplings for ising in isings]
+        )
 
         local = kernels.initial_local_fields(padded_fields, symmetric, state)
         # Bare Ising energies E = h.s + 1/2 s.J.s = (s.local + s.h) / 2;

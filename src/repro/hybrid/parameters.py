@@ -18,7 +18,9 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.annealing.sampler import QuantumAnnealerSimulator
+from repro.annealing.sampleset import SampleSet
 from repro.annealing.schedule import (
+    AnnealSchedule,
     forward_anneal_schedule,
     forward_reverse_anneal_schedule,
     reverse_anneal_schedule,
@@ -96,50 +98,23 @@ def sweep_switch_point(
     sweep varies the pause location; for ``"FR"`` the turning point is fixed
     at ``min(s_p + 0.2, 0.95)`` — use
     :func:`sweep_forward_reverse_turning_point` for the oracle c_p search.
+    A batch of one through :func:`sweep_switch_point_batch`.
     """
-    method = method.upper()
-    if method not in ("FA", "RA", "FR"):
-        raise ConfigurationError(f"method must be 'FA', 'RA' or 'FR', got {method!r}")
-    if method == "RA" and initial_state is None:
+    if method.upper() == "RA" and initial_state is None:
         raise ConfigurationError("reverse annealing sweeps require an initial_state")
-
-    values = np.asarray(
-        switch_values if switch_values is not None else paper_switch_point_grid(), dtype=float
-    )
-    annealer = sampler if sampler is not None else QuantumAnnealerSimulator()
-    generator = ensure_rng(rng)
-
-    records: List[SwitchPointRecord] = []
-    for switch_s in values:
-        switch_s = float(switch_s)
-        turning_s: Optional[float] = None
-        if method == "FA":
-            schedule = forward_anneal_schedule(anneal_time_us, switch_s, pause_duration_us)
-            sampleset = annealer.sample_qubo(qubo, schedule, num_reads, None, generator)
-        elif method == "RA":
-            schedule = reverse_anneal_schedule(switch_s, pause_duration_us)
-            sampleset = annealer.sample_qubo(qubo, schedule, num_reads, initial_state, generator)
-        else:
-            turning_s = min(switch_s + 0.2, 0.95)
-            schedule = forward_reverse_anneal_schedule(
-                turning_s, switch_s, pause_duration_us, anneal_time_us
-            )
-            sampleset = annealer.sample_qubo(qubo, schedule, num_reads, None, generator)
-
-        probability = sampleset.success_probability(ground_energy)
-        tts = time_to_solution(probability, schedule.duration_us, confidence_percent)
-        records.append(
-            SwitchPointRecord(
-                method=method,
-                switch_s=switch_s,
-                success_probability=probability,
-                tts=tts,
-                expectation_energy=sampleset.expectation_energy(),
-                duration_us=schedule.duration_us,
-                turning_s=turning_s,
-            )
-        )
-    return records
+    return sweep_switch_point_batch(
+        [qubo],
+        [ground_energy],
+        method,
+        switch_values,
+        None if initial_state is None else [initial_state],
+        sampler,
+        num_reads,
+        pause_duration_us,
+        anneal_time_us,
+        confidence_percent,
+        rng=[ensure_rng(rng)],
+    )[0]
 
 
 def sweep_switch_point_batch(
@@ -206,21 +181,34 @@ def sweep_switch_point_batch(
             )
             states = None
         samplesets = annealer.sample_qubo_batch(qubos, schedule, num_reads, states, children)
-        for index, (sampleset, ground_energy) in enumerate(zip(samplesets, ground_energies)):
-            probability = sampleset.success_probability(float(ground_energy))
-            tts = time_to_solution(probability, schedule.duration_us, confidence_percent)
-            results[index].append(
-                SwitchPointRecord(
-                    method=method,
-                    switch_s=switch_s,
-                    success_probability=probability,
-                    tts=tts,
-                    expectation_energy=sampleset.expectation_energy(),
-                    duration_us=schedule.duration_us,
-                    turning_s=turning_s,
-                )
+        for records, sampleset, ground_energy in zip(results, samplesets, ground_energies):
+            record = _switch_point_record(
+                method, switch_s, turning_s, schedule, sampleset, ground_energy, confidence_percent
             )
+            records.append(record)
     return results
+
+
+def _switch_point_record(
+    method: str,
+    switch_s: float,
+    turning_s: Optional[float],
+    schedule: AnnealSchedule,
+    sampleset: SampleSet,
+    ground_energy: float,
+    confidence_percent: float,
+) -> SwitchPointRecord:
+    """Score one schedule's sample set against the known ground energy."""
+    probability = sampleset.success_probability(float(ground_energy))
+    return SwitchPointRecord(
+        method=method,
+        switch_s=switch_s,
+        success_probability=probability,
+        tts=time_to_solution(probability, schedule.duration_us, confidence_percent),
+        expectation_energy=sampleset.expectation_energy(),
+        duration_us=schedule.duration_us,
+        turning_s=turning_s,
+    )
 
 
 def best_switch_point(records: Sequence[SwitchPointRecord]) -> SwitchPointRecord:
@@ -270,17 +258,8 @@ def sweep_forward_reverse_turning_point(
             turning_s, switch_s, pause_duration_us, anneal_time_us
         )
         sampleset = annealer.sample_qubo(qubo, schedule, num_reads, None, generator)
-        probability = sampleset.success_probability(ground_energy)
-        tts = time_to_solution(probability, schedule.duration_us, confidence_percent)
-        records.append(
-            SwitchPointRecord(
-                method="FR",
-                switch_s=switch_s,
-                success_probability=probability,
-                tts=tts,
-                expectation_energy=sampleset.expectation_energy(),
-                duration_us=schedule.duration_us,
-                turning_s=turning_s,
-            )
+        record = _switch_point_record(
+            "FR", switch_s, turning_s, schedule, sampleset, ground_energy, confidence_percent
         )
+        records.append(record)
     return records

@@ -148,3 +148,20 @@ class TestEmbeddedSampling:
         )
         sampleset = sampler.forward_anneal(qubo, num_reads=40, pause_s=0.4)
         assert sampleset.lowest_energy() <= exact.energy + 0.5 * abs(exact.energy)
+
+
+class TestInitialStateLength:
+    @pytest.mark.parametrize("use_embedding", [False, True])
+    @pytest.mark.parametrize("initial_state", [[0, 1, 0, 1], [0, 1]], ids=["long", "short"])
+    def test_wrong_length_is_rejected(self, use_embedding, initial_state):
+        qubo = planted_solution_qubo(np.array([1, 0, 1]), rng=np.random.default_rng(0))
+        sampler = QuantumAnnealerSimulator(
+            backend=ScheduleDrivenAnnealingBackend(sweeps_per_microsecond=8),
+            use_embedding=use_embedding,
+            seed=1,
+        )
+        expected = f"initial state has {len(initial_state)} spins, expected 3"
+        with pytest.raises(ConfigurationError, match=expected):
+            sampler.sample_qubo(
+                qubo, reverse_anneal_schedule(0.5, 1.0), 3, initial_state=initial_state, rng=3
+            )
